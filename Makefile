@@ -41,10 +41,14 @@ test:
 # or use `make soak` for the thorough tier. The explicit -timeout
 # raises go test's 10 m per-package default: internal/exp's campaign
 # tests already run minutes natively and the race detector multiplies
-# that several-fold.
+# that several-fold. The last step runs the end-to-end benchmark's own
+# tests (bench/ is a separate module the root ./... never builds):
+# they replay every benchmark workload against bench/golden.json, the
+# proof that a hot-path change left simulated results bitwise-identical.
 check: bench-smoke docs-lint
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
+	cd bench && $(GO) test ./...
 
 # soak runs the whole suite at the thorough test tier under the race
 # detector: full crash-point coverage across all four workloads, long

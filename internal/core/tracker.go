@@ -48,7 +48,7 @@ type Tracker struct {
 	sink      rh.MemSink
 	gct       []uint16 // saturating group counters (0..TG)
 	rcc       *cache.SetAssoc
-	rct       []uint16 // per-row counters, the DRAM-resident table
+	rct       rctTable // per-row counters, the DRAM-resident table
 	rctEpoch  []uint32 // per-line epoch for the NoGCT ablation's lazy clear
 	epoch     uint32
 	ritAct    []uint16 // SRAM counters guarding the RCT's own rows
@@ -73,7 +73,7 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 	t := &Tracker{
 		cfg:       d,
 		sink:      sink,
-		rct:       make([]uint16, d.Rows),
+		rct:       newRCT(d.Rows),
 		ritAct:    make([]uint16, d.MetaRows()),
 		groupSize: d.GroupSize(),
 	}
@@ -99,6 +99,39 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 		t.cipher = newRowCipher(d.Rows, d.Seed)
 	}
 	return t, nil
+}
+
+// rctPageRows is the number of RCT counters per lazily allocated page.
+const rctPageRows = 4096
+
+// rctTable is the Row-Count Table, paged so that host memory follows
+// the row groups a run actually initializes: a page is allocated on its
+// first nonzero write, and an unallocated page reads as all zeros. A
+// flat table would zero 8 MB per tracker at the paper's 4M rows, in
+// every cell, before the first activation.
+type rctTable []*[rctPageRows]uint16
+
+func newRCT(rows int) rctTable {
+	return make(rctTable, (rows+rctPageRows-1)/rctPageRows)
+}
+
+func (t rctTable) get(i uint32) uint16 {
+	if p := t[i/rctPageRows]; p != nil {
+		return p[i%rctPageRows]
+	}
+	return 0
+}
+
+func (t rctTable) set(i uint32, v uint16) {
+	p := t[i/rctPageRows]
+	if p == nil {
+		if v == 0 {
+			return
+		}
+		p = new([rctPageRows]uint16)
+		t[i/rctPageRows] = p
+	}
+	p[i%rctPageRows] = v
 }
 
 // MustNew is New for configurations known statically valid.
@@ -209,7 +242,7 @@ func (t *Tracker) initGroup(g int) {
 		hi = t.cfg.Rows
 	}
 	for i := lo; i < hi; i++ {
-		t.rct[i] = uint16(t.cfg.TG)
+		t.rct.set(uint32(i), uint16(t.cfg.TG))
 	}
 	firstLine := t.rctLineOffset(uint32(lo))
 	lastLine := t.rctLineOffset(uint32(hi - 1))
@@ -235,7 +268,7 @@ func (t *Tracker) perRow(idx uint32) bool {
 			count = 0
 			t.stats.Mitigations++
 		}
-		t.rct[idx] = count
+		t.rct.set(idx, count)
 		t.sink.MetaWrite(line)
 		t.stats.MetaWrites++
 		return mitigate
@@ -289,19 +322,19 @@ func (t *Tracker) loadRCT(idx uint32) uint16 {
 				hi = t.cfg.Rows
 			}
 			for i := lo; i < hi; i++ {
-				t.rct[i] = 0
+				t.rct.set(uint32(i), 0)
 			}
 			t.rctEpoch[line] = t.epoch
 		}
 	}
-	return t.rct[idx]
+	return t.rct.get(idx)
 }
 
 func (t *Tracker) storeRCT(idx uint32, v uint16) {
 	if t.cfg.NoGCT {
 		t.loadRCT(idx) // ensure the line is in the current epoch first
 	}
-	t.rct[idx] = v
+	t.rct.set(idx, v)
 }
 
 // ActivateMeta implements rh.Tracker: activations of the RCT's own
@@ -353,16 +386,23 @@ func (t *Tracker) ResetWindow() {
 // can hide a hot row from mitigation. Counters cached in the SRAM RCC
 // are deliberately untouched: physically, corrupting DRAM does not
 // reach a cached copy until it is evicted and refetched. Returns how
-// many entries were corrupted.
+// many entries were corrupted. Entries are visited in index order; an
+// unallocated RCT page holds only zeros, so skipping it draws rng for
+// exactly the entries a flat table would.
 func (t *Tracker) CorruptRCT(frac float64, rng func() float64) int {
 	if frac <= 0 {
 		return 0
 	}
 	n := 0
-	for i, v := range t.rct {
-		if v != 0 && rng() < frac {
-			t.rct[i] = 0
-			n++
+	for _, p := range t.rct {
+		if p == nil {
+			continue
+		}
+		for i, v := range p {
+			if v != 0 && rng() < frac {
+				p[i] = 0
+				n++
+			}
 		}
 	}
 	return n

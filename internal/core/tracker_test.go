@@ -483,3 +483,75 @@ func TestStatsAreConsistent(t *testing.T) {
 		t.Fatalf("reads (%d) < writes (%d): every write path also reads", s.MetaReads, s.MetaWrites)
 	}
 }
+
+// corruptFlat is the flat-table CorruptRCT the paged table replaced,
+// kept as the reference for TestCorruptRCTMatchesFlatTable.
+func corruptFlat(rct []uint16, frac float64, rng func() float64) int {
+	n := 0
+	for i, v := range rct {
+		if v != 0 && rng() < frac {
+			rct[i] = 0
+			n++
+		}
+	}
+	return n
+}
+
+// countingRNG returns a deterministic [0,1) source and a pointer to
+// its draw count.
+func countingRNG(seed uint64) (func() float64, *int) {
+	draws := 0
+	return func() float64 {
+		draws++
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return float64(seed>>11) / (1 << 53)
+	}, &draws
+}
+
+// TestCorruptRCTMatchesFlatTable pins the paged RCT against the flat
+// table it replaced: on a sparse tracker (few groups initialized, most
+// pages never allocated) CorruptRCT zeroes the same entries with the
+// same number of RNG draws, so chaos runs reproduce bit for bit.
+func TestCorruptRCTMatchesFlatTable(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Rows = 1 << 20
+	cfg.GCTEntries = cfg.Rows / 128
+	h := MustNew(cfg, rh.NullSink{})
+	// Saturate a few scattered groups and push some of their rows
+	// through RCC evictions, so RCT entries hold both T_G and counts.
+	for _, base := range []rh.Row{5 << 12, 77 << 12, 200<<12 + 300, 255 << 12} {
+		for i := 0; i < 300; i++ {
+			h.Activate(base + rh.Row(i%96))
+		}
+	}
+	flat := make([]uint16, cfg.Rows)
+	for i := range flat {
+		flat[i] = h.rct.get(uint32(i))
+	}
+	pages := 0
+	for _, p := range h.rct {
+		if p != nil {
+			pages++
+		}
+	}
+	if pages == 0 || pages > 8 {
+		t.Fatalf("%d RCT pages allocated, want a sparse table (1..8 of %d)", pages, len(h.rct))
+	}
+	for _, frac := range []float64{0.3, 1} {
+		rngP, drawsP := countingRNG(42)
+		rngF, drawsF := countingRNG(42)
+		n := h.CorruptRCT(frac, rngP)
+		want := corruptFlat(flat, frac, rngF)
+		if n != want || *drawsP != *drawsF {
+			t.Fatalf("frac %v: paged corrupted %d with %d draws, flat %d with %d", frac, n, *drawsP, want, *drawsF)
+		}
+		for i, v := range flat {
+			if got := h.rct.get(uint32(i)); got != v {
+				t.Fatalf("frac %v: entry %d = %d after corruption, flat table has %d", frac, i, got, v)
+			}
+		}
+		if frac == 0.3 && (n == 0 || *drawsP == n) {
+			t.Fatalf("frac 0.3 corrupted %d of %d nonzero entries; want a strict subset", n, *drawsP)
+		}
+	}
+}

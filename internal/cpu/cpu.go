@@ -60,8 +60,16 @@ type Core struct {
 	nextAt int64
 
 	instCount int64 // instructions fetched so far
-	reads     []outstandingRead
-	blocked   bool // waiting for the oldest read's completion time
+	// reads is a ring of the outstanding loads in issue order: the
+	// oldest at readHead, readN live, power-of-two capacity. Retiring
+	// advances the head instead of re-slicing, so a warm core never
+	// reallocates it. retired counts the loads popped so far, so the
+	// load issued n-th (from 0) sits at ring position n-retired.
+	reads    []outstandingRead
+	readHead int
+	readN    int
+	retired  int64
+	blocked  bool // waiting for the oldest read's completion time
 
 	pending   *memsim.Request // submission refused by a full queue
 	exhausted bool
@@ -95,16 +103,37 @@ func New(id int, cfg Config, trace TraceSource, mem Memory) (*Core, error) {
 }
 
 // readDone is the memory system's completion callback: r.User carries
-// the instruction index the read was issued at. r may be recycled the
-// moment this returns, so only User is read.
+// the load's issue number. r may be recycled the moment this returns,
+// so only User is read.
 func (c *Core) readDone(r *memsim.Request, f int64) {
-	inst := r.User
-	for i := range c.reads {
-		if c.reads[i].instIdx == inst {
-			c.wake(i, f)
-			return
-		}
+	if i := r.User - c.retired; i >= 0 && i < int64(c.readN) {
+		c.wake(int(i), f)
 	}
+}
+
+// read returns the i-th oldest outstanding load.
+func (c *Core) read(i int) *outstandingRead {
+	return &c.reads[(c.readHead+i)&(len(c.reads)-1)]
+}
+
+// pushRead appends a load to the ring, doubling it when full.
+func (c *Core) pushRead(r outstandingRead) {
+	if c.readN == len(c.reads) {
+		grown := make([]outstandingRead, max(16, 2*len(c.reads)))
+		for i := 0; i < c.readN; i++ {
+			grown[i] = *c.read(i)
+		}
+		c.reads, c.readHead = grown, 0
+	}
+	c.readN++
+	*c.read(c.readN - 1) = r
+}
+
+// popRead retires the oldest load.
+func (c *Core) popRead() {
+	c.readHead = (c.readHead + 1) & (len(c.reads) - 1)
+	c.readN--
+	c.retired++
 }
 
 // MustNew is New for statically valid parameters.
@@ -121,7 +150,7 @@ func (c *Core) ID() int { return c.id }
 
 // Done reports whether the trace is exhausted and all reads returned.
 func (c *Core) Done() bool {
-	return c.exhausted && c.pending == nil && len(c.reads) == 0
+	return c.exhausted && c.pending == nil && c.readN == 0
 }
 
 // FinishTime returns the cycle at which the core completed everything;
@@ -137,9 +166,10 @@ func (c *Core) NextTime() int64 {
 	return c.nextAt
 }
 
-// wake is called by the memory system when a read completes.
+// wake is called by the memory system when the idx-th oldest read
+// completes.
 func (c *Core) wake(idx int, finish int64) {
-	c.reads[idx].finishAt = finish
+	c.read(idx).finishAt = finish
 	if c.blocked && idx == 0 {
 		c.blocked = false
 		c.nextAt = finish
@@ -184,8 +214,8 @@ func (c *Core) Step() {
 
 	// Enforce the ROB window: the oldest incomplete load must retire
 	// before fetch may run further ahead than ROB instructions.
-	for len(c.reads) > 0 && c.reads[0].instIdx < c.instCount-int64(c.cfg.ROB) {
-		oldest := c.reads[0]
+	for c.readN > 0 && c.read(0).instIdx < c.instCount-int64(c.cfg.ROB) {
+		oldest := c.read(0)
 		if oldest.finishAt < 0 {
 			// Completion unknown: block until the memory system wakes us.
 			c.blocked = true
@@ -196,7 +226,7 @@ func (c *Core) Step() {
 			c.StallFor += oldest.finishAt - c.time
 			c.time = oldest.finishAt
 		}
-		c.reads = c.reads[1:]
+		c.popRead()
 	}
 
 	req := c.mem.NewRequest()
@@ -208,16 +238,16 @@ func (c *Core) Step() {
 	} else {
 		req.Kind = memsim.ReadReq
 		c.Reads++
-		c.reads = append(c.reads, outstandingRead{instIdx: c.instCount, finishAt: -1})
-		// Identify the record by instruction index: retirements pop
-		// from the front of c.reads, so readDone searches on completion.
-		req.User = c.instCount
+		// Identify the load by its issue number, which readDone maps
+		// to its ring position without a search.
+		req.User = c.retired + int64(c.readN)
+		c.pushRead(outstandingRead{instIdx: c.instCount, finishAt: -1})
 		req.OnFinish = c.onFin
 	}
 	if !c.mem.Submit(req) {
 		// Keep the provisional ROB entry (for reads) and retry the
 		// submission after a backoff; the completion callback finds
-		// the entry by instruction index either way.
+		// the entry by issue number either way.
 		c.pending = req
 		c.Retries++
 		c.nextAt = c.time + c.cfg.RetryBackoff
@@ -228,8 +258,8 @@ func (c *Core) Step() {
 
 // retireAll drains the remaining reads once the trace ends.
 func (c *Core) retireAll() {
-	for len(c.reads) > 0 {
-		oldest := c.reads[0]
+	for c.readN > 0 {
+		oldest := c.read(0)
 		if oldest.finishAt < 0 {
 			c.blocked = true
 			c.nextAt = memsim.Infinity
@@ -238,7 +268,7 @@ func (c *Core) retireAll() {
 		if oldest.finishAt > c.time {
 			c.time = oldest.finishAt
 		}
-		c.reads = c.reads[1:]
+		c.popRead()
 	}
 	c.finish = c.time
 }
@@ -246,9 +276,9 @@ func (c *Core) retireAll() {
 // Debug renders internal state for diagnostics.
 func (c *Core) Debug() string {
 	oldest := int64(-99)
-	if len(c.reads) > 0 {
-		oldest = c.reads[0].finishAt
+	if c.readN > 0 {
+		oldest = c.read(0).finishAt
 	}
 	return fmt.Sprintf("time=%d nextAt=%d blocked=%v exhausted=%v pending=%v reads=%d oldestFinish=%d insts=%d",
-		c.time, c.nextAt, c.blocked, c.exhausted, c.pending != nil, len(c.reads), oldest, c.instCount)
+		c.time, c.nextAt, c.blocked, c.exhausted, c.pending != nil, c.readN, oldest, c.instCount)
 }

@@ -185,3 +185,56 @@ func TestBadConfigErrors(t *testing.T) {
 		t.Fatal("nil trace/memory should error")
 	}
 }
+
+// loopTrace replays a fixed request list forever.
+type loopTrace struct {
+	reqs []workload.Request
+	i    int
+}
+
+func (l *loopTrace) Next() (workload.Request, bool) {
+	r := l.reqs[l.i%len(l.reqs)]
+	l.i++
+	return r, true
+}
+
+// stubMemory accepts every request and completes reads synchronously,
+// a fixed latency after their arrival. It recycles one request, so the
+// only allocations a core step can make are its own.
+type stubMemory struct{ r memsim.Request }
+
+func (m *stubMemory) NewRequest() *memsim.Request {
+	m.r = memsim.Request{}
+	return &m.r
+}
+
+func (m *stubMemory) Submit(r *memsim.Request) bool {
+	if r.OnFinish != nil {
+		r.OnFinish(r, r.Arrive+300)
+	}
+	return true
+}
+
+// TestSteadyStateCoreStepIsAllocationFree pins the core's share of the
+// allocation-free hot path: once the outstanding-read ring has grown to
+// the ROB window, stepping a core allocates nothing.
+func TestSteadyStateCoreStepIsAllocationFree(t *testing.T) {
+	dcfg := dram.Baseline()
+	var reqs []workload.Request
+	for i := 0; i < 64; i++ {
+		reqs = append(reqs, workload.Request{Gap: i % 3, Write: i%5 == 4, Line: line(dcfg, i%16, 10+i%7, i%128)})
+	}
+	c := MustNew(0, DefaultConfig(), &loopTrace{reqs: reqs}, &stubMemory{})
+	steps := func() {
+		for i := 0; i < 1000; i++ {
+			c.Step()
+		}
+	}
+	steps() // warm the ring
+	if avg := testing.AllocsPerRun(20, steps); avg != 0 {
+		t.Fatalf("1000 steady-state core steps allocate %.1f times, want 0", avg)
+	}
+	if c.Reads == 0 || c.StallFor == 0 {
+		t.Fatalf("stub run never exercised the ROB window (reads %d, stall %d)", c.Reads, c.StallFor)
+	}
+}

@@ -13,9 +13,18 @@
 //     accesses within a row stay row-buffer hits), then bank, then row.
 //   - Reserved metadata region: the layout of tracker metadata (e.g.
 //     Hydra's Row-Count Table) in the top rows of each bank.
+//
+// Every count — channels, ranks per channel, banks per rank, rows per
+// bank and lines per row — must be a power of two (Validate enforces
+// it), as in real address-interleaving hardware. Each field of an
+// address is then a bit range, and the mapping is pure shifts and masks
+// with no division on the per-request path.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the size of one memory line (one 64-byte transfer).
 const LineBytes = 64
@@ -54,8 +63,8 @@ func DDR5() Config {
 	}
 }
 
-// Validate reports an error if any field is non-positive or the row is
-// not a whole number of lines.
+// Validate reports an error if any field is non-positive, the row is
+// not a whole number of lines, or a count is not a power of two.
 func (c Config) Validate() error {
 	switch {
 	case c.Channels <= 0:
@@ -68,9 +77,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: RowsPerBank must be positive, got %d", c.RowsPerBank)
 	case c.RowBytes < LineBytes || c.RowBytes%LineBytes != 0:
 		return fmt.Errorf("dram: RowBytes must be a positive multiple of %d, got %d", LineBytes, c.RowBytes)
+	case !pow2(c.Channels) || !pow2(c.RanksPerChannel) || !pow2(c.BanksPerRank) ||
+		!pow2(c.RowsPerBank) || !pow2(c.LinesPerRow()):
+		return fmt.Errorf("dram: channel, rank, bank, row and column counts must be powers of two, got %+v", c)
 	}
 	return nil
 }
+
+func pow2(n int) bool { return n&(n-1) == 0 }
+
+// log2 returns the bit width of a power-of-two count. The mask bounds
+// the result (it is 64 only for n = 0, which Validate rejects), which
+// lets the compiler emit bare shifts by it.
+func log2(n int) uint { return uint(bits.TrailingZeros64(uint64(n))) & 63 }
 
 // TotalBanks returns the number of banks across the whole system.
 func (c Config) TotalBanks() int {
@@ -104,26 +123,27 @@ type Loc struct {
 // Decode maps a line address (byte address >> 6) to its location.
 // Bit layout, low to high: channel | column | bank | rank | row.
 func (c Config) Decode(line uint64) Loc {
-	var l Loc
-	l.Channel = int(line % uint64(c.Channels))
-	line /= uint64(c.Channels)
-	l.Col = int(line % uint64(c.LinesPerRow()))
-	line /= uint64(c.LinesPerRow())
-	l.Bank = int(line % uint64(c.BanksPerRank))
-	line /= uint64(c.BanksPerRank)
-	l.Rank = int(line % uint64(c.RanksPerChannel))
-	line /= uint64(c.RanksPerChannel)
-	l.Row = int(line % uint64(c.RowsPerBank))
-	return l
+	lines := c.RowBytes / LineBytes
+	ch := int(line & uint64(c.Channels-1))
+	line >>= log2(c.Channels)
+	col := int(line & uint64(lines-1))
+	line >>= log2(lines)
+	bank := int(line & uint64(c.BanksPerRank-1))
+	line >>= log2(c.BanksPerRank)
+	rank := int(line & uint64(c.RanksPerChannel-1))
+	line >>= log2(c.RanksPerChannel)
+	return Loc{Channel: ch, Rank: rank, Bank: bank, Row: int(line & uint64(c.RowsPerBank-1)), Col: col}
 }
 
-// Encode is the inverse of Decode.
+// Encode is the inverse of Decode. Each shift stands for the radix
+// multiplication it replaces, so even an out-of-range field carries
+// into the next one exactly as before.
 func (c Config) Encode(l Loc) uint64 {
 	line := uint64(l.Row)
-	line = line*uint64(c.RanksPerChannel) + uint64(l.Rank)
-	line = line*uint64(c.BanksPerRank) + uint64(l.Bank)
-	line = line*uint64(c.LinesPerRow()) + uint64(l.Col)
-	line = line*uint64(c.Channels) + uint64(l.Channel)
+	line = line<<log2(c.RanksPerChannel) + uint64(l.Rank)
+	line = line<<log2(c.BanksPerRank) + uint64(l.Bank)
+	line = line<<log2(c.RowBytes/LineBytes) + uint64(l.Col)
+	line = line<<log2(c.Channels) + uint64(l.Channel)
 	return line
 }
 
@@ -131,23 +151,21 @@ func (c Config) Encode(l Loc) uint64 {
 // Rows of the same bank are contiguous, so row +/- 1 within a bank is
 // global row +/- 1, which makes blast-radius arithmetic trivial.
 func (c Config) GlobalRow(l Loc) uint32 {
-	bank := (l.Channel*c.RanksPerChannel+l.Rank)*c.BanksPerRank + l.Bank
-	return uint32(bank*c.RowsPerBank + l.Row)
+	bank := (l.Channel<<log2(c.RanksPerChannel)+l.Rank)<<log2(c.BanksPerRank) + l.Bank
+	return uint32(bank<<log2(c.RowsPerBank) + l.Row)
 }
 
 // RowLoc returns the (channel, rank, bank, row) of a global row id.
 // Col is always 0.
 func (c Config) RowLoc(row uint32) Loc {
 	r := int(row)
-	bankGlobal := r / c.RowsPerBank
-	inBank := r % c.RowsPerBank
-	ch := bankGlobal / (c.RanksPerChannel * c.BanksPerRank)
-	rest := bankGlobal % (c.RanksPerChannel * c.BanksPerRank)
+	bankGlobal := r >> log2(c.RowsPerBank)
+	rest := bankGlobal & (c.RanksPerChannel*c.BanksPerRank - 1)
 	return Loc{
-		Channel: ch,
-		Rank:    rest / c.BanksPerRank,
-		Bank:    rest % c.BanksPerRank,
-		Row:     inBank,
+		Channel: bankGlobal >> (log2(c.RanksPerChannel) + log2(c.BanksPerRank)),
+		Rank:    rest >> log2(c.BanksPerRank),
+		Bank:    rest & (c.BanksPerRank - 1),
+		Row:     r & (c.RowsPerBank - 1),
 	}
 }
 
@@ -155,7 +173,7 @@ func (c Config) RowLoc(row uint32) Loc {
 // distance of the aggressor, clipped at bank boundaries. With blast=2
 // (the paper's default) it returns up to four rows: two on each side.
 func (c Config) Victims(aggressor uint32, blast int) []uint32 {
-	inBank := int(aggressor) % c.RowsPerBank
+	inBank := int(aggressor) & (c.RowsPerBank - 1)
 	victims := make([]uint32, 0, 2*blast)
 	for d := 1; d <= blast; d++ {
 		if inBank-d >= 0 {

@@ -32,6 +32,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Channels: 1, RanksPerChannel: 1, BanksPerRank: 1, RowsPerBank: 0, RowBytes: 64},
 		{Channels: 1, RanksPerChannel: 1, BanksPerRank: 1, RowsPerBank: 1, RowBytes: 63},
 		{Channels: 1, RanksPerChannel: 1, BanksPerRank: 1, RowsPerBank: 1, RowBytes: 96},
+		// Non-power-of-two counts: the mapping is shifts and masks.
+		{Channels: 3, RanksPerChannel: 1, BanksPerRank: 16, RowsPerBank: 1024, RowBytes: 8192},
+		{Channels: 2, RanksPerChannel: 1, BanksPerRank: 12, RowsPerBank: 1024, RowBytes: 8192},
+		{Channels: 2, RanksPerChannel: 1, BanksPerRank: 16, RowsPerBank: 1000, RowBytes: 8192},
+		{Channels: 2, RanksPerChannel: 1, BanksPerRank: 16, RowsPerBank: 1024, RowBytes: 192},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
@@ -40,42 +45,95 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// geometries are the shipped organizations the mapping quick-checks
+// run on.
+var geometries = map[string]Config{"baseline": Baseline(), "ddr5": DDR5()}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := Baseline()
-	f := func(raw uint64) bool {
-		line := raw % (uint64(c.TotalBytes()) / LineBytes)
-		return c.Encode(c.Decode(line)) == line
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for name, c := range geometries {
+		f := func(raw uint64) bool {
+			line := raw % (uint64(c.TotalBytes()) / LineBytes)
+			return c.Encode(c.Decode(line)) == line
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
 func TestDecodeFieldsInRange(t *testing.T) {
-	c := Baseline()
-	f := func(raw uint64) bool {
-		line := raw % (uint64(c.TotalBytes()) / LineBytes)
-		l := c.Decode(line)
-		return l.Channel >= 0 && l.Channel < c.Channels &&
-			l.Rank >= 0 && l.Rank < c.RanksPerChannel &&
-			l.Bank >= 0 && l.Bank < c.BanksPerRank &&
-			l.Row >= 0 && l.Row < c.RowsPerBank &&
-			l.Col >= 0 && l.Col < c.LinesPerRow()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for name, c := range geometries {
+		f := func(raw uint64) bool {
+			line := raw % (uint64(c.TotalBytes()) / LineBytes)
+			l := c.Decode(line)
+			return l.Channel >= 0 && l.Channel < c.Channels &&
+				l.Rank >= 0 && l.Rank < c.RanksPerChannel &&
+				l.Bank >= 0 && l.Bank < c.BanksPerRank &&
+				l.Row >= 0 && l.Row < c.RowsPerBank &&
+				l.Col >= 0 && l.Col < c.LinesPerRow()
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
 func TestGlobalRowRoundTrip(t *testing.T) {
-	c := Baseline()
-	f := func(raw uint32) bool {
-		row := raw % uint32(c.TotalRows())
-		loc := c.RowLoc(row)
-		return c.GlobalRow(loc) == row
+	for name, c := range geometries {
+		f := func(raw uint32) bool {
+			row := raw % uint32(c.TotalRows())
+			loc := c.RowLoc(row)
+			return c.GlobalRow(loc) == row
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+}
+
+// radixDecode and radixEncode are the division-based mapping the
+// shift/mask one replaced, kept as its reference.
+func radixDecode(c Config, line uint64) Loc {
+	var l Loc
+	for _, f := range []struct {
+		dst *int
+		n   int
+	}{{&l.Channel, c.Channels}, {&l.Col, c.LinesPerRow()}, {&l.Bank, c.BanksPerRank}, {&l.Rank, c.RanksPerChannel}, {&l.Row, c.RowsPerBank}} {
+		*f.dst = int(line % uint64(f.n))
+		line /= uint64(f.n)
+	}
+	return l
+}
+
+func radixEncode(c Config, l Loc) uint64 {
+	line := uint64(l.Row)
+	line = line*uint64(c.RanksPerChannel) + uint64(l.Rank)
+	line = line*uint64(c.BanksPerRank) + uint64(l.Bank)
+	line = line*uint64(c.LinesPerRow()) + uint64(l.Col)
+	return line*uint64(c.Channels) + uint64(l.Channel)
+}
+
+// TestShiftMappingMatchesRadix pins the shift/mask mapping to the
+// radix arithmetic it replaced, on any line (in range or not) and on
+// any location, so simulated results stay bitwise-identical.
+func TestShiftMappingMatchesRadix(t *testing.T) {
+	for name, c := range geometries {
+		f := func(line uint64, l Loc, row uint32) bool {
+			rowLoc := Loc{
+				Channel: int(row) / c.RowsPerBank / (c.RanksPerChannel * c.BanksPerRank),
+				Rank:    int(row) / c.RowsPerBank % (c.RanksPerChannel * c.BanksPerRank) / c.BanksPerRank,
+				Bank:    int(row) / c.RowsPerBank % c.BanksPerRank,
+				Row:     int(row) % c.RowsPerBank,
+			}
+			bank := (l.Channel*c.RanksPerChannel+l.Rank)*c.BanksPerRank + l.Bank
+			return c.Decode(line) == radixDecode(c, line) &&
+				c.Encode(l) == radixEncode(c, l) &&
+				c.RowLoc(row) == rowLoc &&
+				c.GlobalRow(l) == uint32(bank*c.RowsPerBank+l.Row)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 

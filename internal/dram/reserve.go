@@ -39,16 +39,16 @@ func (r *ReservedRegion) GlobalRow(i int) uint32 {
 		panic("dram: metadata row index out of range")
 	}
 	banks := r.cfg.TotalBanks()
-	bank := i % banks
-	row := r.cfg.RowsPerBank - 1 - i/banks
-	return uint32(bank*r.cfg.RowsPerBank + row)
+	bank := i & (banks - 1)
+	row := r.cfg.RowsPerBank - 1 - i>>log2(banks)
+	return uint32(bank<<log2(r.cfg.RowsPerBank) + row)
 }
 
 // MetaIndex reports whether the global row is a metadata row and, if
 // so, its index within the region.
 func (r *ReservedRegion) MetaIndex(row uint32) (int, bool) {
-	inBank := int(row) % r.cfg.RowsPerBank
-	bank := int(row) / r.cfg.RowsPerBank
+	inBank := int(row) & (r.cfg.RowsPerBank - 1)
+	bank := int(row) >> log2(r.cfg.RowsPerBank)
 	depth := r.cfg.RowsPerBank - 1 - inBank
 	if depth < 0 {
 		return 0, false
@@ -65,9 +65,8 @@ func (r *ReservedRegion) MetaIndex(row uint32) (int, bool) {
 // of the same metadata row.
 func (r *ReservedRegion) LineAddr(offset uint64) uint64 {
 	lineInRegion := offset / LineBytes
-	linesPerRow := uint64(r.cfg.LinesPerRow())
-	metaRow := int(lineInRegion / linesPerRow)
-	col := int(lineInRegion % linesPerRow)
+	metaRow := int(lineInRegion >> log2(r.cfg.LinesPerRow()))
+	col := int(lineInRegion & uint64(r.cfg.LinesPerRow()-1))
 	loc := r.cfg.RowLoc(r.GlobalRow(metaRow))
 	loc.Col = col
 	return r.cfg.Encode(loc)

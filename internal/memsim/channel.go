@@ -1,6 +1,10 @@
 package memsim
 
-import "repro/internal/obsv"
+import (
+	"math/bits"
+
+	"repro/internal/obsv"
+)
 
 // bank is the per-bank timing state.
 type bank struct {
@@ -159,12 +163,15 @@ func (c *channel) idle() bool {
 }
 
 // promote moves every request that has arrived by now from the future
-// heap into its bank bucket.
+// index into its bank bucket.
 func (c *channel) promote(q *reqQueue, now int64) {
-	for len(q.future) > 0 && q.future[0].key <= now {
-		r := q.future.pop().r
-		b := c.bankIdx(r)
-		q.insertReady(r, b, c.banks[b].openRow)
+	for {
+		e, ok := q.future.popUpTo(now)
+		if !ok {
+			return
+		}
+		b := c.bankIdx(e.r)
+		q.insertReady(e.r, b, c.banks[b].openRow)
 	}
 }
 
@@ -316,7 +323,7 @@ func (c *channel) pick(now int64) (*Request, *reqQueue) {
 // request older than starvationAge is served first regardless, oldest
 // submission first. Only one candidate per bank can win — the cached
 // oldest row-hit, else the bucket front — so the scan is over banks,
-// not requests.
+// not requests, and the live-bank mask skips the empty buckets.
 func (c *channel) frfcfs(q *reqQueue, now int64) *Request {
 	if q.readyN == 0 {
 		return nil
@@ -328,23 +335,23 @@ func (c *channel) frfcfs(q *reqQueue, now int64) *Request {
 	penalty := tm.TRP + tm.TRCD
 	var best *Request
 	var bestEst int64
-	for b := range q.buckets {
-		bk := &q.buckets[b]
-		if bk.live == 0 {
-			continue
-		}
-		bank := &c.banks[b]
-		est := bank.readyAt
-		if est < now {
-			est = now
-		}
-		cand := bk.bestHitFor(bank.openRow)
-		if cand == nil {
-			cand = bk.front()
-			est += penalty
-		}
-		if best == nil || est < bestEst || (est == bestEst && cand.seq < best.seq) {
-			best, bestEst = cand, est
+	for w, word := range q.live {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			bk := &q.buckets[b]
+			bank := &c.banks[b]
+			est := bank.readyAt
+			if est < now {
+				est = now
+			}
+			cand := bk.bestHitFor(bank.openRow)
+			if cand == nil {
+				cand = bk.front()
+				est += penalty
+			}
+			if best == nil || est < bestEst || (est == bestEst && cand.seq < best.seq) {
+				best, bestEst = cand, est
+			}
 		}
 	}
 	return best

@@ -502,11 +502,29 @@ type memLike interface {
 	StepNext() int64
 }
 
-// driveStream submits the specs in arrival order, stepping the
-// simulator up to each arrival, then drains it, returning the full
-// observable event log. It advances with the fused StepNext, so each
-// iteration costs one channel scan instead of two.
+// driveStream submits the specs in arrival order, each at its arrival
+// time (driveLate with submit = arrive).
 func driveStream(m memLike, setHook func(func(uint32, Kind, int64)), specs []reqSpec) []schedEvent {
+	late := make([]lateSpec, len(specs))
+	for i, sp := range specs {
+		late[i] = lateSpec{sp, sp.arrive}
+	}
+	return driveLate(m, setHook, late, nil)
+}
+
+// lateSpec is a request handed to the controller at submit, arriving
+// at reqSpec.arrive, which may lie before or after submit.
+type lateSpec struct {
+	reqSpec
+	submit int64
+}
+
+// driveLate submits the specs in submit order, stepping the simulator
+// through every event strictly before each submit time, then drains
+// it, returning the full observable event log. afterSubmit, when
+// non-nil, runs after every Submit. It advances with the fused
+// StepNext, so each iteration costs one channel scan instead of two.
+func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateSpec, afterSubmit func()) []schedEvent {
 	var events []schedEvent
 	setHook(func(row uint32, kind Kind, at int64) {
 		events = append(events, schedEvent{row: row, kind: kind, t: at})
@@ -515,11 +533,14 @@ func driveStream(m memLike, setHook func(func(uint32, Kind, int64)), specs []req
 		events = append(events, schedEvent{fin: true, id: r.User, t: f})
 	}
 	for i, sp := range specs {
-		for t := m.NextTime(); t < sp.arrive; t = m.StepNext() {
+		for t := m.NextTime(); t < sp.submit; t = m.StepNext() {
 		}
 		r := &Request{Line: sp.line, Kind: sp.kind, Arrive: sp.arrive, User: int64(i), OnFinish: onFin}
 		if !m.Submit(r) {
 			events = append(events, schedEvent{refuse: true, id: int64(i)})
+		}
+		if afterSubmit != nil {
+			afterSubmit()
 		}
 	}
 	for t := m.NextTime(); t < Infinity; t = m.StepNext() {

@@ -112,7 +112,10 @@ func (m *Memory) RunEpoch(horizon int64) int64 {
 // drain replays every buffered event in (decision cycle, channel,
 // emission index) order. Replay runs on the caller's goroutine with all
 // workers quiescent, so callbacks may freely submit new requests (to
-// any channel) and release pooled requests. Buffers keep their capacity
+// any channel) and release pooled requests; submissions never append
+// to an event buffer, so the buffers are fixed for the whole drain.
+// Once a single buffer has events left, merge order is its emission
+// order and the rest replays in one loop. Buffers keep their capacity
 // across epochs; the steady-state loop does not allocate. It reports
 // whether any replayed callback could have submitted requests (a
 // completion callback or the activation hook ran).
@@ -120,33 +123,26 @@ func (m *Memory) drain() bool {
 	submitted := false
 	for {
 		var best *channel
+		pending := 0
 		for _, c := range m.channels {
-			if c.evHead < len(c.events) &&
-				(best == nil || c.events[c.evHead].dec < best.events[best.evHead].dec) {
-				best = c
+			if c.evHead < len(c.events) {
+				pending++
+				if best == nil || c.events[c.evHead].dec < best.events[best.evHead].dec {
+					best = c
+				}
 			}
 		}
 		if best == nil {
 			break
 		}
-		e := &best.events[best.evHead]
-		best.evHead++
-		switch e.kind {
-		case evFinish:
-			r := e.r
-			e.r = nil // release the pointer; pooled requests recycle now
-			if r.OnFinish != nil {
-				r.OnFinish(r, e.t)
+		end := best.evHead + 1
+		if pending == 1 {
+			end = len(best.events)
+		}
+		for ; best.evHead < end; best.evHead++ {
+			if m.replay(&best.events[best.evHead]) {
 				submitted = true
 			}
-			if r.pooled {
-				m.sh.release(r)
-			}
-		case evAct:
-			m.cfg.OnACT(e.row, e.rkind, e.t)
-			submitted = true
-		case evRefresh:
-			m.cfg.Trace.Emit(obsv.Event{Cycle: e.t, Kind: obsv.EvRefresh, Row: e.row, Aux: e.aux})
 		}
 	}
 	for _, c := range m.channels {
@@ -154,6 +150,30 @@ func (m *Memory) drain() bool {
 		c.evHead = 0
 	}
 	return submitted
+}
+
+// replay delivers one buffered event and reports whether it ran a
+// callback that may submit requests.
+func (m *Memory) replay(e *chanEvent) bool {
+	switch e.kind {
+	case evFinish:
+		r := e.r
+		e.r = nil // release the pointer; pooled requests recycle now
+		called := r.OnFinish != nil
+		if called {
+			r.OnFinish(r, e.t)
+		}
+		if r.pooled {
+			m.sh.release(r)
+		}
+		return called
+	case evAct:
+		m.cfg.OnACT(e.row, e.rkind, e.t)
+		return true
+	case evRefresh:
+		m.cfg.Trace.Emit(obsv.Event{Cycle: e.t, Kind: obsv.EvRefresh, Row: e.row, Aux: e.aux})
+	}
+	return false
 }
 
 // Close stops the parallel worker goroutines, if any were started. It

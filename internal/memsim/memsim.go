@@ -69,7 +69,7 @@ type Request struct {
 	Kind   Kind
 	Arrive int64
 	// User is opaque caller context, carried through to OnFinish
-	// (e.g. the instruction index a core tags its loads with).
+	// (e.g. the issue number a core tags its loads with).
 	User int64
 	// OnFinish, if non-nil, is called once with the request and its
 	// completion time (for reads: when data is back at the core). The

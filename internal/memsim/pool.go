@@ -2,11 +2,11 @@ package memsim
 
 // shared is per-Memory state the channels use in common: the request
 // free list and the global submission counter. seq is global (not per
-// channel) so a recycled request can never collide with a stale heap
-// entry's stamp on another channel. No locking is needed even in
-// parallel epochs: nextSeq runs only from submit and release only from
-// the epoch drain, both of which stay on the caller's goroutine while
-// the channel workers are quiescent (see epoch.go).
+// channel) so a recycled request can never collide with a stale aging
+// or starving entry's stamp on another channel. No locking is needed
+// even in parallel epochs: nextSeq runs only from submit and release
+// only from the epoch drain, both of which stay on the caller's
+// goroutine while the channel workers are quiescent (see epoch.go).
 type shared struct {
 	seq  int64
 	free []*Request
@@ -17,20 +17,32 @@ func (sh *shared) nextSeq() int64 {
 	return sh.seq
 }
 
+// poolSlab is how many requests an empty free list refills with in
+// one allocation. Metadata bursts (a Hydra group initialization, a
+// row-swap copy) draw many requests between two barriers; refilling
+// one at a time made those bursts the main allocation source of a
+// cell.
+const poolSlab = 64
+
 // get returns a zeroed pooled request.
 func (sh *shared) get() *Request {
-	if n := len(sh.free); n > 0 {
-		r := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		*r = Request{pooled: true}
-		return r
+	if len(sh.free) == 0 {
+		slab := make([]Request, poolSlab)
+		for i := len(slab) - 1; i >= 0; i-- {
+			sh.free = append(sh.free, &slab[i])
+		}
 	}
-	return &Request{pooled: true}
+	n := len(sh.free)
+	r := sh.free[n-1]
+	sh.free[n-1] = nil
+	sh.free = sh.free[:n-1]
+	*r = Request{pooled: true}
+	return r
 }
 
 // release returns a serviced pooled request to the free list. The
-// negative seq keeps any stale heap entries pointing at it dead.
+// negative seq keeps any stale aging or starving entries pointing at it
+// dead.
 func (sh *shared) release(r *Request) {
 	*r = Request{pooled: true, seq: -1}
 	sh.free = append(sh.free, r)

@@ -1,31 +1,50 @@
 package memsim
 
 // This file holds the incrementally maintained per-queue index that
-// replaced the original scheduler's per-step linear scans. Each
-// scheduling class (mitigation, read, metadata, write) keeps:
+// replaced the original scheduler's per-step linear scans. Every
+// per-event operation on it is amortized O(1) and allocation-free once
+// its buffers are warm. Each scheduling class (mitigation, read,
+// metadata, write) keeps:
 //
-//   - future: a min-heap of not-yet-arrived requests keyed by Arrive,
-//     so the channel's next-arrival time is the heap top instead of a
+//   - future: an arrival index (below) of not-yet-arrived requests, so
+//     the channel's next-arrival time is the index minimum instead of a
 //     scan over every queued request;
 //   - buckets: the arrived requests grouped per bank in submission
 //     (seq) order, so FR-FCFS considers one candidate per bank — the
 //     cached oldest row-hit, or the bucket front for a row conflict —
 //     instead of estimating every request;
-//   - aging/starving: two lazy-deleted heaps that surface the
+//   - live: one bit per bank whose bucket holds a live request, so the
+//     pickers visit only non-empty buckets, in ascending bank order
+//     (the order their tie-breaks were written against);
+//   - aging/starving: an arrival index of arrived requests pending the
+//     age bound, feeding a lazy-deleted heap by seq that surfaces the
 //     oldest-submitted request past starvationAge exactly, without
 //     depending on slice order.
 //
+// The arrival index is a FIFO in Arrive order plus a small side heap.
+// Nearly every request is indexed with an Arrive no earlier than the
+// newest entry's, so it appends to the FIFO; the rest (metadata and
+// mitigations submitted at a past activation time, throttled demand
+// dated into the future) go to the side heap. Both parts drain up to a
+// bound — Arrive <= now to promote, Arrive < now-starvationAge to age —
+// and the order in which one drain releases its entries cannot matter:
+// buckets re-sort by seq on push, and the starving heap orders by seq.
+//
 // Requests are removed by tombstoning their bucket slot (Request.qpos
 // is the slot index, kept stable until compaction), which replaces the
-// old O(n) memmove removal. Heap entries carry the seq the request had
-// when the entry was pushed; a served request has its seq reset to -1,
-// so stale entries are detected and discarded when they surface.
+// old O(n) memmove removal. Aging and starving entries carry the seq
+// the request had when the entry was pushed; a served request has its
+// seq reset to -1, so stale entries are detected and discarded when
+// they surface.
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
-// heapEnt is one entry of a lazily-deleted request heap. key is the
-// ordering key (Arrive or seq); stamp is the request's seq at push
-// time, compared against the live seq to detect served requests.
+// heapEnt is one entry of a request index. key is the ordering key
+// (Arrive or seq); stamp is the request's seq at push time, compared
+// against the live seq to detect served requests.
 type heapEnt struct {
 	r     *Request
 	key   int64
@@ -33,12 +52,9 @@ type heapEnt struct {
 }
 
 // entHeap is a binary min-heap by (key, stamp). The stamp tie-break
-// makes pops deterministic and, for the future heap, promotes
-// same-cycle arrivals in submission order — which keeps each bank
-// bucket sorted by seq, an invariant FR-FCFS tie-breaking relies on.
-// The heap is hand-rolled (rather than container/heap) so pushes and
-// pops stay free of interface conversions and allocations on the
-// scheduler hot path.
+// makes pops deterministic. The heap is hand-rolled (rather than
+// container/heap) so pushes and pops stay free of interface
+// conversions and allocations on the scheduler hot path.
 type entHeap []heapEnt
 
 func entLess(a, b heapEnt) bool {
@@ -84,16 +100,80 @@ func (h *entHeap) pop() heapEnt {
 	return top
 }
 
+// arrivalIndex orders requests by Arrive (the entry key): a ring-buffer
+// FIFO whose keys never decrease from head to tail, plus a side heap
+// for entries that would break that order.
+type arrivalIndex struct {
+	ring []heapEnt // power-of-two capacity; n live entries from head
+	head int
+	n    int
+	side entHeap
+}
+
+func (a *arrivalIndex) len() int { return a.n + len(a.side) }
+
+func (a *arrivalIndex) push(e heapEnt) {
+	mask := len(a.ring) - 1
+	if a.n > 0 && e.key < a.ring[(a.head+a.n-1)&mask].key {
+		a.side.push(e)
+		return
+	}
+	if a.n == len(a.ring) {
+		a.grow()
+		mask = len(a.ring) - 1
+	}
+	a.ring[(a.head+a.n)&mask] = e
+	a.n++
+}
+
+func (a *arrivalIndex) grow() {
+	ring := make([]heapEnt, max(16, 2*len(a.ring)))
+	for i := 0; i < a.n; i++ {
+		ring[i] = a.ring[(a.head+i)&(len(a.ring)-1)]
+	}
+	a.ring, a.head = ring, 0
+}
+
+// min returns the smallest key, or Infinity when empty.
+func (a *arrivalIndex) min() int64 {
+	t := Infinity
+	if a.n > 0 {
+		t = a.ring[a.head].key
+	}
+	if len(a.side) > 0 && a.side[0].key < t {
+		t = a.side[0].key
+	}
+	return t
+}
+
+// popUpTo removes and returns an entry with key <= bound, or reports
+// false when none is left. The two parts merge in (key, stamp) order,
+// which keeps a drain feeding another index appending to its FIFO.
+func (a *arrivalIndex) popUpTo(bound int64) (heapEnt, bool) {
+	ring := a.n > 0 && a.ring[a.head].key <= bound
+	if len(a.side) > 0 && a.side[0].key <= bound && (!ring || entLess(a.side[0], a.ring[a.head])) {
+		return a.side.pop(), true
+	}
+	if !ring {
+		return heapEnt{}, false
+	}
+	e := a.ring[a.head]
+	a.ring[a.head] = heapEnt{} // release the request pointer
+	a.head = (a.head + 1) & (len(a.ring) - 1)
+	a.n--
+	return e, true
+}
+
 // bucket holds the arrived requests of one (queue, bank) pair in
 // submission (seq) order. Serving a request nils its slot; front skips
 // the dead prefix lazily and the slice compacts once it is mostly dead,
 // so both the FIFO head and arbitrary middle removals are O(1)
 // amortized. Inserts are appends except when arrival timestamps run
 // backward (out-of-order submitters such as the throttle policy's
-// future-dated rate limiting): the future heap promotes in Arrive
-// order, so a late-submitted-but-early-arriving request can reach the
-// bucket before an older one, and the older request is then bubbled
-// into seq position — the ordering FR-FCFS and FCFS tie-breaks rely on.
+// future-dated rate limiting): the future index promotes by Arrive, so
+// a late-submitted-but-early-arriving request can reach the bucket
+// before an older one, and the older request is then bubbled into seq
+// position — the ordering FR-FCFS and FCFS tie-breaks rely on.
 type bucket struct {
 	items []*Request
 	head  int // first possibly-live index; items[:head] are all nil
@@ -211,25 +291,27 @@ func (b *bucket) compact() {
 
 // reqQueue is one scheduling class of a channel.
 type reqQueue struct {
-	future  entHeap  // Arrive > channel clock, min-heap by Arrive
-	buckets []bucket // arrived requests, per bank
-	readyN  int      // total live requests across buckets
+	future  arrivalIndex // Arrive > channel clock
+	buckets []bucket     // arrived requests, per bank
+	live    []uint64     // bit b set while buckets[b] holds a live request
+	readyN  int          // total live requests across buckets
 
 	// starve enables the starvation index (FR-FCFS queues only; the
 	// mitigation queue is served strictly oldest-first already).
 	starve   bool
-	aging    entHeap // arrived requests by Arrive, pending the age bound
-	starving entHeap // requests past starvationAge, by seq
+	aging    arrivalIndex // arrived requests, pending the age bound
+	starving entHeap      // requests past starvationAge, by seq
 }
 
 func (q *reqQueue) init(nBanks int, starve bool) {
 	q.buckets = make([]bucket, nBanks)
+	q.live = make([]uint64, (nBanks+63)/64)
 	q.starve = starve
 }
 
 // len counts every queued request, arrived or not (queue-capacity and
 // drain-hysteresis checks use the total, as the linear queues did).
-func (q *reqQueue) len() int { return len(q.future) + q.readyN }
+func (q *reqQueue) len() int { return q.future.len() + q.readyN }
 
 // add accepts a freshly submitted request. now is the channel clock:
 // requests arriving in the past or present index as ready immediately.
@@ -243,6 +325,7 @@ func (q *reqQueue) add(r *Request, bank, openRow int, now int64) {
 
 func (q *reqQueue) insertReady(r *Request, bank, openRow int) {
 	q.buckets[bank].push(r, openRow)
+	q.live[bank>>6] |= 1 << (bank & 63)
 	q.readyN++
 	if q.starve {
 		q.aging.push(heapEnt{r, r.Arrive, r.seq})
@@ -250,56 +333,61 @@ func (q *reqQueue) insertReady(r *Request, bank, openRow int) {
 }
 
 // remove takes a picked request out of its bucket and stamps it
-// served, which lazily deletes any aging/starving heap entries. The
-// stamp is atomic: a pooled request recycles at the epoch barrier and
-// may resubmit to a different channel while this channel's lazy heaps
-// still hold the old pointer, so under parallel epochs the new owner's
-// stamp races with the old owner's stale-entry checks. The value read
-// does not matter for those checks — seqs are never reused, so a
-// recycled request can never equal a stale entry's stamp — but the
-// accesses must be atomic for the race to be benign.
+// served, which lazily deletes any aging/starving entries. The stamp
+// is atomic: a pooled request recycles at the epoch barrier and may
+// resubmit to a different channel while this channel's indexes still
+// hold the old pointer, so under parallel epochs the new owner's stamp
+// races with the old owner's stale-entry checks. The value read does
+// not matter for those checks — seqs are never reused, so a recycled
+// request can never equal a stale entry's stamp — but the accesses
+// must be atomic for the race to be benign.
 func (q *reqQueue) remove(r *Request, bank int) {
-	q.buckets[bank].remove(r)
+	bk := &q.buckets[bank]
+	bk.remove(r)
+	if bk.live == 0 {
+		q.live[bank>>6] &^= 1 << (bank & 63)
+	}
 	q.readyN--
 	atomic.StoreInt64(&r.seq, -1)
 }
 
 // earliestFuture returns the arrival time of the next not-yet-arrived
 // request, or Infinity.
-func (q *reqQueue) earliestFuture() int64 {
-	if len(q.future) == 0 {
-		return Infinity
-	}
-	return q.future[0].key
-}
+func (q *reqQueue) earliestFuture() int64 { return q.future.min() }
 
 // oldestReady returns the lowest-seq arrived request (the mitigation
 // queue's FCFS order), or nil.
 func (q *reqQueue) oldestReady() *Request {
+	if q.readyN == 0 {
+		return nil
+	}
 	var best *Request
-	for b := range q.buckets {
-		bk := &q.buckets[b]
-		if bk.live == 0 {
-			continue
-		}
-		if r := bk.front(); best == nil || r.seq < best.seq {
-			best = r
+	for w, word := range q.live {
+		for ; word != 0; word &= word - 1 {
+			r := q.buckets[w<<6+bits.TrailingZeros64(word)].front()
+			if best == nil || r.seq < best.seq {
+				best = r
+			}
 		}
 	}
 	return best
 }
 
 // starvingPick returns the lowest-seq arrived request whose age
-// exceeds starvationAge, or nil. Requests migrate from the aging heap
+// exceeds starvationAge, or nil. Requests migrate from the aging index
 // (keyed by Arrive) into the starving heap (keyed by seq) as the
 // threshold passes them; served requests are discarded lazily by the
 // stamp check.
 func (q *reqQueue) starvingPick(now int64) *Request {
 	th := now - starvationAge
-	for len(q.aging) > 0 && q.aging[0].key < th {
+	for {
+		e, ok := q.aging.popUpTo(th - 1)
+		if !ok {
+			break
+		}
 		// Atomic loads mirror the atomic served-stamp in remove: a
 		// stale entry's request may by now live on another channel.
-		if e := q.aging.pop(); atomic.LoadInt64(&e.r.seq) == e.stamp {
+		if atomic.LoadInt64(&e.r.seq) == e.stamp {
 			q.starving.push(heapEnt{e.r, e.stamp, e.stamp})
 		}
 	}

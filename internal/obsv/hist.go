@@ -1,12 +1,16 @@
 package obsv
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Hist is a fixed-bucket histogram over non-negative int64 samples,
 // cheap enough to sit on a simulator scheduling path: Observe is a
-// handful of compares and three adds. Unlike stats.Histogram it is a
-// value type with a stable JSON shape, so memory-controller stats can
-// embed it directly and run reports can carry it.
+// handful of compares and three adds, in constant time for the
+// PowersOfTwo layout. Unlike stats.Histogram it is a value type with a
+// stable JSON shape, so memory-controller stats can embed it directly
+// and run reports can carry it.
 //
 // Bounds are inclusive upper bounds; a final overflow bucket catches
 // samples above the last bound, so len(Counts) == len(Bounds)+1.
@@ -49,6 +53,13 @@ func (h *Hist) Observe(v int64) {
 	h.Sum += v
 	if v > h.Max {
 		h.Max = v
+	}
+	// In the PowersOfTwo layout v lands in bucket bits.Len64(v-1)+1.
+	// Taking that bucket whenever it brackets v is exact for any
+	// layout; otherwise fall back to the scan.
+	if i := bits.Len64(uint64(v-1)) + 1; i < len(h.Bounds) && v <= h.Bounds[i] && v > h.Bounds[i-1] {
+		h.Counts[i]++
+		return
 	}
 	for i, b := range h.Bounds {
 		if v <= b {

@@ -30,13 +30,13 @@ func TestQuantileUniformInterpolation(t *testing.T) {
 		p    float64
 		want float64
 	}{
-		{0, 0},        // rank 0 → lower edge of the first bucket
-		{0.25, 5},     // rank 5 of 10 within (0,10]
-		{0.5, 10},     // exactly exhausts the first bucket
-		{0.75, 15},    // halfway through (10,20]
-		{1, 20},       // the maximum
-		{-0.5, 0},     // clamped to p=0
-		{1.5, 20},     // clamped to p=1
+		{0, 0},     // rank 0 → lower edge of the first bucket
+		{0.25, 5},  // rank 5 of 10 within (0,10]
+		{0.5, 10},  // exactly exhausts the first bucket
+		{0.75, 15}, // halfway through (10,20]
+		{1, 20},    // the maximum
+		{-0.5, 0},  // clamped to p=0
+		{1.5, 20},  // clamped to p=1
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.p); math.Abs(got-c.want) > 1e-9 {
@@ -84,6 +84,29 @@ func TestQuantileSingleSample(t *testing.T) {
 		got := h.Quantile(p)
 		if got < 10 || got > 100 {
 			t.Errorf("Quantile(%v) = %v, want within the sample's bucket (10,100]", p, got)
+		}
+	}
+}
+
+// TestObserveBucketsLikeLinearScan pins Observe's PowersOfTwo fast
+// path: every sample lands in the first bucket whose bound holds it,
+// for the power-of-two layout and for layouts the fast path misses.
+func TestObserveBucketsLikeLinearScan(t *testing.T) {
+	layouts := [][]int64{PowersOfTwo(64), PowersOfTwo(1), {0, 3, 10, 100}, {1, 2, 4, 8}, {5}}
+	for _, bounds := range layouts {
+		for v := int64(-3); v <= 300; v++ {
+			h := NewHist(bounds...)
+			h.Observe(v)
+			want := len(bounds)
+			for i, b := range bounds {
+				if v <= b {
+					want = i
+					break
+				}
+			}
+			if h.Counts[want] != 1 {
+				t.Fatalf("bounds %v: sample %d counted in %v, want bucket %d", bounds, v, h.Counts, want)
+			}
 		}
 	}
 }

@@ -258,6 +258,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("sim: Cores must be positive")
 	}
+	if err := cfg.Mem.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
 	}
@@ -571,6 +574,14 @@ func (s *System) Run() (Result, error) {
 	defer s.mem.Close()
 	const maxSteps = int64(2e9) // hard safety stop
 	lookahead := s.mem.Lookahead()
+	// coreAt caches each core's NextTime. It moves only when that core
+	// steps or when a memory epoch delivers completions (a core's
+	// submissions never call back into a core), so the loop refreshes
+	// just those.
+	coreAt := make([]int64, len(s.cores))
+	for i, c := range s.cores {
+		coreAt[i] = c.NextTime()
+	}
 	for steps := int64(0); ; steps++ {
 		if steps > maxSteps {
 			return Result{}, fmt.Errorf("sim: exceeded %d steps; likely deadlock", maxSteps)
@@ -588,13 +599,13 @@ func (s *System) Run() (Result, error) {
 		}
 		next := memNext
 		coreMin := memsim.Infinity
-		var coreNext *cpu.Core
-		for _, c := range s.cores {
-			if t := c.NextTime(); t < coreMin {
+		coreNext := -1
+		for i, t := range coreAt {
+			if t < coreMin {
 				coreMin = t
 				if t < next {
 					next = t
-					coreNext = c
+					coreNext = i
 				}
 			}
 		}
@@ -621,10 +632,12 @@ func (s *System) Run() (Result, error) {
 			s.resets++
 			continue
 		}
-		if coreNext != nil {
+		if coreNext >= 0 {
 			// A core is strictly earliest (memory wins ties, as the
 			// per-event loop had it).
-			coreNext.Step()
+			c := s.cores[coreNext]
+			c.Step()
+			coreAt[coreNext] = c.NextTime()
 			continue
 		}
 		// Memory epoch: every channel decision strictly before the
@@ -645,6 +658,9 @@ func (s *System) Run() (Result, error) {
 			h = memNext + 1
 		}
 		s.mem.RunEpoch(h)
+		for i, c := range s.cores {
+			coreAt[i] = c.NextTime()
+		}
 	}
 	if fin, ok := s.cfg.Observer.(interface{ Finish() }); ok {
 		fin.Finish()

@@ -376,3 +376,14 @@ func TestDDR5GeometryRuns(t *testing.T) {
 		t.Fatalf("empty run: %+v", res)
 	}
 }
+
+// TestNewRejectsNonPowerOfTwoGeometry: the address mapping is shifts
+// and masks, so New refuses a geometry it cannot map (with an error,
+// not the memory controller's construction panic).
+func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
+	cfg := testConfig(hotProfile(), TrackHydra)
+	cfg.Mem.BanksPerRank = 12
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted 12 banks per rank")
+	}
+}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dram"
 )
@@ -61,7 +62,11 @@ type Stream struct {
 	cfg StreamConfig
 	rng splitMix
 
-	totalBanks  int
+	// Bit widths of the power-of-two geometry counts
+	// (dram.Config.Validate): virtual rows stripe over banks by mask.
+	bankBits    uint    // log2 of the total bank count
+	chBits      uint    // log2 of Channels
+	rankBits    uint    // log2 of RanksPerChannel
 	rowsPerCore int     // in-bank rows available to this core
 	perm        []int32 // random page placement within the partition
 
@@ -126,6 +131,9 @@ func NewStream(p Profile, cfg StreamConfig) (*Stream, error) {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 1
 	}
+	if err := cfg.Mem.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.MaxDemandRow <= 0 || cfg.MaxDemandRow >= cfg.Mem.RowsPerBank {
 		return nil, fmt.Errorf("workload: bad MaxDemandRow %d", cfg.MaxDemandRow)
 	}
@@ -156,7 +164,9 @@ func NewStream(p Profile, cfg StreamConfig) (*Stream, error) {
 		p:          p,
 		cfg:        cfg,
 		rng:        splitMix{state: cfg.Seed ^ (uint64(cfg.CoreID+1) * 0xabcdef123457)},
-		totalBanks: cfg.Mem.TotalBanks(),
+		bankBits:   uint(bits.TrailingZeros(uint(cfg.Mem.TotalBanks()))),
+		chBits:     uint(bits.TrailingZeros(uint(cfg.Mem.Channels))),
+		rankBits:   uint(bits.TrailingZeros(uint(cfg.Mem.RanksPerChannel))),
 		uniqueRows: unique,
 		hotRows:    hot,
 		actsLeft:   budget,
@@ -229,17 +239,18 @@ func (s *Stream) ActBudget() int { return s.actsLeft }
 // the stream exercises bank-level parallelism the way real address
 // interleaving does.
 func (s *Stream) line(virtRow, col int) uint64 {
-	bank := virtRow % s.totalBanks
-	inBank := int(s.perm[(virtRow/s.totalBanks)%s.rowsPerCore])
+	mem := &s.cfg.Mem
+	bank := virtRow & (1<<s.bankBits - 1)
+	inBank := int(s.perm[(virtRow>>s.bankBits)%s.rowsPerCore])
 	row := s.cfg.CoreID*s.rowsPerCore + inBank
 	loc := dram.Loc{
-		Channel: bank % s.cfg.Mem.Channels,
-		Rank:    (bank / s.cfg.Mem.Channels) % s.cfg.Mem.RanksPerChannel,
-		Bank:    bank / (s.cfg.Mem.Channels * s.cfg.Mem.RanksPerChannel),
+		Channel: bank & (mem.Channels - 1),
+		Rank:    bank >> s.chBits & (mem.RanksPerChannel - 1),
+		Bank:    bank >> (s.chBits + s.rankBits),
 		Row:     row,
-		Col:     col % s.cfg.Mem.LinesPerRow(),
+		Col:     col & (mem.LinesPerRow() - 1),
 	}
-	return s.cfg.Mem.Encode(loc)
+	return mem.Encode(loc)
 }
 
 // gap returns the non-memory instruction gap implied by the MPKI.
@@ -268,7 +279,7 @@ func (s *Stream) Next() (req Request, ok bool) {
 	s.actsLeft--
 
 	virtRow := s.nextRow()
-	col := int(s.rng.next() % uint64(s.cfg.Mem.LinesPerRow()))
+	col := int(s.rng.next() & uint64(s.cfg.Mem.LinesPerRow()-1))
 	burst := s.cfg.Burst
 	if s.gupsMode {
 		burst = 1
