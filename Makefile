@@ -20,7 +20,7 @@ BENCHFLAGS ?=
 # (records the speedup the current tree delivers over it).
 PREV     ?=
 
-.PHONY: all build test check soak docs-lint bench bench-smoke bench-baseline bench-compare bench-json figures profile clean
+.PHONY: all build test check fmt-check soak docs-lint bench bench-smoke bench-baseline bench-compare bench-json figures profile clean
 
 all: build test
 
@@ -31,11 +31,12 @@ build:
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# Stricter pre-merge gate: static analysis plus the full test suite
-# under the race detector (the campaign harness is concurrent), plus a
-# single-iteration pass over every benchmark so a broken benchmark
-# cannot sit undetected until someone runs the perf gate, plus the
-# docs-lint keeping docs/TRACKERS.md in sync with internal/track.
+# Stricter pre-merge gate: gofmt-clean sources, static analysis, the
+# full test suite under the race detector (the campaign harness is
+# concurrent), plus a single-iteration pass over every benchmark so a
+# broken benchmark cannot sit undetected until someone runs the perf
+# gate, plus the docs-lint keeping docs/TRACKERS.md in sync with
+# internal/track.
 # The suite includes the quick tier of every property-test machine
 # (internal/proptest; catalog in docs/TESTING.md) — set TEST_INTENSITY
 # or use `make soak` for the thorough tier. The explicit -timeout
@@ -45,10 +46,14 @@ test:
 # tests (bench/ is a separate module the root ./... never builds):
 # they replay every benchmark workload against bench/golden.json, the
 # proof that a hot-path change left simulated results bitwise-identical.
-check: bench-smoke docs-lint
+check: fmt-check bench-smoke docs-lint
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	cd bench && $(GO) test ./...
+
+# fmt-check fails when gofmt would reformat any file (it lists them).
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l: unformatted files:"; echo "$$files"; exit 1; fi
 
 # soak runs the whole suite at the thorough test tier under the race
 # detector: full crash-point coverage across all four workloads, long

@@ -82,16 +82,14 @@ func record(ctx context.Context, name string, scale float64, cores int, seed uin
 	base.Scale = scale
 	base.Cores = cores
 	base.Seed = seed
+	streams, err := workload.NewStreams(p, base)
+	if err != nil {
+		return err
+	}
 	var total int64
-	for core := 0; core < cores; core++ {
+	for core, src := range streams {
 		if err := ctx.Err(); err != nil {
 			return err // interrupted between cores; finished files are intact
-		}
-		cfg := base
-		cfg.CoreID = core
-		src, err := workload.NewStream(p, cfg)
-		if err != nil {
-			return err
 		}
 		path := filepath.Join(out, fmt.Sprintf("core%d.trc", core))
 		f, err := os.Create(path)

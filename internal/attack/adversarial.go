@@ -160,7 +160,7 @@ func Adversaries() []Adversary {
 				return roundRobin(8, stormHerd, 1)
 			},
 			Acts: func(geom track.Geometry, trh int) int {
-				return bounded(trh * stormHerd, geom)
+				return bounded(trh*stormHerd, geom)
 			},
 		},
 	}

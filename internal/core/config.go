@@ -79,7 +79,8 @@ func Default() Config {
 // ForThreshold returns the default configuration scaled for a different
 // row-hammer threshold: halving T_RH doubles the GCT and RCC, matching
 // the paper's sensitivity study (Section 6.3, "structures scaled
-// proportionately").
+// proportionately"). The RCC rounds up to whole sets, which Validate
+// requires.
 func ForThreshold(trh int) Config {
 	c := Default()
 	if trh <= 0 {
@@ -88,7 +89,8 @@ func ForThreshold(trh int) Config {
 	c.TRH = trh
 	scale := 500.0 / float64(trh)
 	c.GCTEntries = scaleEntries(32*1024, scale)
-	c.RCCEntries = scaleEntries(8*1024, scale)
+	sets := (scaleEntries(8*1024, scale) + c.RCCWays - 1) / c.RCCWays
+	c.RCCEntries = sets * c.RCCWays
 	return c
 }
 

@@ -48,8 +48,8 @@ type Tracker struct {
 	sink      rh.MemSink
 	gct       []uint16 // saturating group counters (0..TG)
 	rcc       *cache.SetAssoc
-	rct       rctTable // per-row counters, the DRAM-resident table
-	rctEpoch  []uint32 // per-line epoch for the NoGCT ablation's lazy clear
+	rct       rh.CounterTable // per-row counters, the DRAM-resident table
+	rctEpoch  []uint32        // per-line epoch for the NoGCT ablation's lazy clear
 	epoch     uint32
 	ritAct    []uint16 // SRAM counters guarding the RCT's own rows
 	cipher    *rowCipher
@@ -73,7 +73,7 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 	t := &Tracker{
 		cfg:       d,
 		sink:      sink,
-		rct:       newRCT(d.Rows),
+		rct:       rh.NewCounterTable(d.Rows),
 		ritAct:    make([]uint16, d.MetaRows()),
 		groupSize: d.GroupSize(),
 	}
@@ -99,39 +99,6 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 		t.cipher = newRowCipher(d.Rows, d.Seed)
 	}
 	return t, nil
-}
-
-// rctPageRows is the number of RCT counters per lazily allocated page.
-const rctPageRows = 4096
-
-// rctTable is the Row-Count Table, paged so that host memory follows
-// the row groups a run actually initializes: a page is allocated on its
-// first nonzero write, and an unallocated page reads as all zeros. A
-// flat table would zero 8 MB per tracker at the paper's 4M rows, in
-// every cell, before the first activation.
-type rctTable []*[rctPageRows]uint16
-
-func newRCT(rows int) rctTable {
-	return make(rctTable, (rows+rctPageRows-1)/rctPageRows)
-}
-
-func (t rctTable) get(i uint32) uint16 {
-	if p := t[i/rctPageRows]; p != nil {
-		return p[i%rctPageRows]
-	}
-	return 0
-}
-
-func (t rctTable) set(i uint32, v uint16) {
-	p := t[i/rctPageRows]
-	if p == nil {
-		if v == 0 {
-			return
-		}
-		p = new([rctPageRows]uint16)
-		t[i/rctPageRows] = p
-	}
-	p[i%rctPageRows] = v
 }
 
 // MustNew is New for configurations known statically valid.
@@ -242,7 +209,7 @@ func (t *Tracker) initGroup(g int) {
 		hi = t.cfg.Rows
 	}
 	for i := lo; i < hi; i++ {
-		t.rct.set(uint32(i), uint16(t.cfg.TG))
+		t.rct.Set(uint32(i), uint16(t.cfg.TG))
 	}
 	firstLine := t.rctLineOffset(uint32(lo))
 	lastLine := t.rctLineOffset(uint32(hi - 1))
@@ -268,7 +235,7 @@ func (t *Tracker) perRow(idx uint32) bool {
 			count = 0
 			t.stats.Mitigations++
 		}
-		t.rct.set(idx, count)
+		t.rct.Set(idx, count)
 		t.sink.MetaWrite(line)
 		t.stats.MetaWrites++
 		return mitigate
@@ -322,19 +289,19 @@ func (t *Tracker) loadRCT(idx uint32) uint16 {
 				hi = t.cfg.Rows
 			}
 			for i := lo; i < hi; i++ {
-				t.rct.set(uint32(i), 0)
+				t.rct.Set(uint32(i), 0)
 			}
 			t.rctEpoch[line] = t.epoch
 		}
 	}
-	return t.rct.get(idx)
+	return t.rct.Get(idx)
 }
 
 func (t *Tracker) storeRCT(idx uint32, v uint16) {
 	if t.cfg.NoGCT {
 		t.loadRCT(idx) // ensure the line is in the current epoch first
 	}
-	t.rct.set(idx, v)
+	t.rct.Set(idx, v)
 }
 
 // ActivateMeta implements rh.Tracker: activations of the RCT's own

@@ -526,7 +526,7 @@ func TestCorruptRCTMatchesFlatTable(t *testing.T) {
 	}
 	flat := make([]uint16, cfg.Rows)
 	for i := range flat {
-		flat[i] = h.rct.get(uint32(i))
+		flat[i] = h.rct.Get(uint32(i))
 	}
 	pages := 0
 	for _, p := range h.rct {
@@ -546,7 +546,7 @@ func TestCorruptRCTMatchesFlatTable(t *testing.T) {
 			t.Fatalf("frac %v: paged corrupted %d with %d draws, flat %d with %d", frac, n, *drawsP, want, *drawsF)
 		}
 		for i, v := range flat {
-			if got := h.rct.get(uint32(i)); got != v {
+			if got := h.rct.Get(uint32(i)); got != v {
 				t.Fatalf("frac %v: entry %d = %d after corruption, flat table has %d", frac, i, got, v)
 			}
 		}

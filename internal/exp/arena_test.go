@@ -108,3 +108,17 @@ func TestArenaVariantNaming(t *testing.T) {
 		t.Fatalf("arenaVariant = %q, want start@500", got)
 	}
 }
+
+// TestArenaFuncTrackersBuildAtDefaultThresholds builds every functional
+// scheme at every default threshold. Hydra at 4800 used to size its RCC
+// at 853 entries, not a whole number of 16-way sets, which core.New
+// rejects: the full arena failed after its whole benign campaign.
+func TestArenaFuncTrackersBuildAtDefaultThresholds(t *testing.T) {
+	for _, name := range ArenaFuncSchemes() {
+		for _, trh := range DefaultArenaThresholds {
+			if _, err := ArenaFuncTracker(name, arenaSecurityGeometry(), trh, 1); err != nil {
+				t.Errorf("%s at T_RH %d: %v", name, trh, err)
+			}
+		}
+	}
+}

@@ -199,7 +199,7 @@ func TestCampaignCacheHitsSkipRun(t *testing.T) {
 		{Key: "c/uncached", Run: mkRun("c/uncached")},
 	}
 	res, err := RunCampaign(context.Background(), cells, Options{
-		Cache: cache,
+		Cache:      cache,
 		OnCellDone: func(r CellResult) { done.Store(r.Key, r.Cached) },
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func TestHitAfterMiss(t *testing.T) {
 
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	c := MustNew(Config{Bytes: 4 * 64, Ways: 4, LineBytes: 64}) // one set
-	c.Access(0, true)                                       // dirty
+	c.Access(0, true)                                           // dirty
 	var sawWB bool
 	for i := uint64(1); i <= 8; i++ {
 		if _, wb, has := c.Access(i, false); has && wb == 0 {

@@ -166,14 +166,16 @@ func (a *arrivalIndex) popUpTo(bound int64) (heapEnt, bool) {
 
 // bucket holds the arrived requests of one (queue, bank) pair in
 // submission (seq) order. Serving a request nils its slot; front skips
-// the dead prefix lazily and the slice compacts once it is mostly dead,
-// so both the FIFO head and arbitrary middle removals are O(1)
-// amortized. Inserts are appends except when arrival timestamps run
-// backward (out-of-order submitters such as the throttle policy's
-// future-dated rate limiting): the future index promotes by Arrive, so
-// a late-submitted-but-early-arriving request can reach the bucket
-// before an older one, and the older request is then bubbled into seq
-// position — the ordering FR-FCFS and FCFS tie-breaks rely on.
+// the dead prefix lazily and the slice compacts once it is mostly dead
+// or would otherwise grow, so both the FIFO head and arbitrary middle
+// removals are O(1) amortized and the slice stays within a small
+// multiple of the live count. Inserts are appends except when arrival
+// timestamps run backward (out-of-order submitters such as the
+// throttle policy's future-dated rate limiting): the future index
+// promotes by Arrive, so a late-submitted-but-early-arriving request
+// can reach the bucket before an older one, and the older request is
+// then bubbled into seq position — the ordering FR-FCFS and FCFS
+// tie-breaks rely on.
 type bucket struct {
 	items []*Request
 	head  int // first possibly-live index; items[:head] are all nil
@@ -193,6 +195,14 @@ func (b *bucket) push(r *Request, openRow int) {
 	// cycle from walking an ever-growing nil tail.
 	for n := len(b.items); n > b.head && b.items[n-1] == nil; n-- {
 		b.items = b.items[:n-1]
+	}
+	// Compact a full slice that is at most half live instead of letting
+	// append grow it: the dead prefix items[:head] is otherwise
+	// reclaimed only when the bucket empties, so a bank that never
+	// drains would append to an ever-longer slice. Each compaction
+	// frees at least half the slots, so this stays amortized O(1).
+	if len(b.items) == cap(b.items) && 2*b.live <= len(b.items) {
+		b.compact()
 	}
 	i := len(b.items)
 	r.qpos = int32(i)

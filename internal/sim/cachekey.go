@@ -32,7 +32,12 @@ import (
 // shifting results for every configuration with a tracker. The Parallel
 // knob itself is NOT hashed: parallel and serial execution compute
 // bitwise-identical results, so cached cells are shared across modes.
-const CacheKeyVersion = "hydra-cell/v4"
+// v5: Graphene, DAPPER and START replace the entry listed last at the
+// spillover floor; the victim used to be whichever entry Go's map order
+// produced, so a cell whose table filled computed a different result on
+// each run. Also v5: core.ForThreshold rounds the RCC up to whole
+// 16-way sets.
+const CacheKeyVersion = "hydra-cell/v5"
 
 // Cacheable reports whether a run's outcome is fully determined by the
 // fields CanonicalString hashes. Runs with side-effecting attachments

@@ -46,7 +46,7 @@ func fuzzConfig(name string, suite string, mpki float64, rows int, scale float64
 func FuzzCacheKey(f *testing.F) {
 	f.Add("parest", "spec", 24.2, 43008, 16.0, 8, 500, uint64(1), "hydra", 0, 0.25, int64(0), false, 0, false, 0.0)
 	f.Add("", "", -1.0, -5, 0.5, 1, 1, uint64(0), "", 128, 1.0, int64(1), true, 100, true, 0.5)
-	f.Add("a\nb=c/d\"e", "micro", 1e300, 1 << 40, 1e-9, 1000, 1 << 30, ^uint64(0), "x y", -1, -0.5, int64(-1), true, -7, true, -0.1)
+	f.Add("a\nb=c/d\"e", "micro", 1e300, 1<<40, 1e-9, 1000, 1<<30, ^uint64(0), "x y", -1, -0.5, int64(-1), true, -7, true, -0.1)
 	f.Fuzz(func(t *testing.T, name string, suite string, mpki float64, rows int,
 		scale float64, cores int, trh int, seed uint64, tracker string, gct int,
 		wfrac float64, window int64, withAttack bool, acts int, withChaos bool, drop float64) {

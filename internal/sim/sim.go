@@ -337,13 +337,11 @@ func New(cfg Config) (*System, error) {
 			s.cores = append(s.cores, c)
 		}
 	} else {
-		for i := 0; i < cfg.Cores; i++ {
-			sc := scfg
-			sc.CoreID = i
-			stream, err := workload.NewStream(cfg.Profile, sc)
-			if err != nil {
-				return nil, err
-			}
+		streams, err := workload.NewStreams(cfg.Profile, scfg)
+		if err != nil {
+			return nil, err
+		}
+		for i, stream := range streams {
 			c, err := cpu.New(i, cpu.DefaultConfig(), stream, demandGate{s})
 			if err != nil {
 				return nil, err

@@ -20,9 +20,7 @@ type CRA struct {
 	threshold int
 	cacheSize int
 	mc        *cache.SetAssoc // line-granularity metadata cache
-	counts    []uint16        // authoritative per-row counters (DRAM contents)
-	lineEpoch []uint32        // lazy per-window clear of the DRAM table
-	epoch     uint32
+	counts    rh.CounterTable // authoritative per-row counters (DRAM contents)
 	sink      rh.MemSink
 
 	// Stats accumulate over the tracker lifetime.
@@ -62,9 +60,7 @@ func NewCRA(geom Geometry, trh, cacheBytes int, sink rh.MemSink) (*CRA, error) {
 		threshold: mitigationThreshold(trh),
 		cacheSize: cacheBytes,
 		mc:        mc,
-		counts:    make([]uint16, geom.Rows),
-		lineEpoch: make([]uint32, (geom.Rows+craRowsPerLine-1)/craRowsPerLine),
-		epoch:     1,
+		counts:    rh.NewCounterTable(geom.Rows),
 		sink:      sink,
 	}, nil
 }
@@ -86,28 +82,9 @@ func (c *CRA) Threshold() int { return c.threshold }
 
 func (c *CRA) line(row rh.Row) uint64 { return uint64(row) / craRowsPerLine }
 
-// ensureEpoch lazily clears a counter line at the first touch of a new
-// window, modeling the per-refresh-period counter reset without a
-// multi-megabyte scrub.
-func (c *CRA) ensureEpoch(line uint64) {
-	if c.lineEpoch[line] == c.epoch {
-		return
-	}
-	lo := int(line) * craRowsPerLine
-	hi := lo + craRowsPerLine
-	if hi > c.geom.Rows {
-		hi = c.geom.Rows
-	}
-	for i := lo; i < hi; i++ {
-		c.counts[i] = 0
-	}
-	c.lineEpoch[line] = c.epoch
-}
-
 // Activate implements rh.Tracker.
 func (c *CRA) Activate(row rh.Row) bool {
 	line := c.line(row)
-	c.ensureEpoch(line)
 	if _, ok := c.mc.Lookup(line); ok {
 		c.Hits++
 	} else {
@@ -121,13 +98,14 @@ func (c *CRA) Activate(row rh.Row) bool {
 		}
 	}
 	c.mc.Update(line, 0) // counter update dirties the cached line
-	c.counts[row]++
-	if int(c.counts[row]) >= c.threshold {
-		c.counts[row] = 0
+	n := c.counts.Get(uint32(row)) + 1
+	mitigate := int(n) >= c.threshold
+	if mitigate {
+		n = 0
 		c.Mitigations++
-		return true
 	}
-	return false
+	c.counts.Set(uint32(row), n)
+	return mitigate
 }
 
 // ActivateMeta implements rh.Tracker. CRA's counter rows are themselves
@@ -143,17 +121,15 @@ func (c *CRA) MetaRows() int {
 	return (c.geom.Rows + rowBytes - 1) / rowBytes
 }
 
-// ResetWindow implements rh.Tracker.
+// ResetWindow implements rh.Tracker: the per-refresh-period counter
+// reset zeroes the counter pages allocated so far.
 func (c *CRA) ResetWindow() {
 	c.mc.Reset()
-	c.epoch++
+	c.counts.Clear()
 }
 
 // SRAMBytes implements rh.Tracker: only the metadata cache.
 func (c *CRA) SRAMBytes() int { return c.cacheSize }
 
 // Count returns the current counter of a row (for tests).
-func (c *CRA) Count(row rh.Row) int {
-	c.ensureEpoch(c.line(row))
-	return int(c.counts[row])
-}
+func (c *CRA) Count(row rh.Row) int { return int(c.counts.Get(uint32(row))) }

@@ -105,47 +105,11 @@ func (d *DAPPER) jitter(row rh.Row) int {
 // Activate implements rh.Tracker: the Graphene update with a
 // jittered, early-only mitigation point.
 func (d *DAPPER) Activate(row rh.Row) bool {
-	b := &d.banks[d.geom.bank(row)]
-	cut := d.threshold - d.jitter(row)
-	if e, ok := b.entries[row]; ok {
-		b.setCount(row, e, e.count+1)
-		if e.count-e.lastMitig >= cut {
-			e.lastMitig = e.count
-			d.Mitigations++
-			return true
-		}
-		return false
+	mitigate, _ := d.banks[d.geom.bank(row)].update(row, d.threshold-d.jitter(row))
+	if mitigate {
+		d.Mitigations++
 	}
-	if len(b.entries) < b.capacity {
-		e := &grapheneEntry{count: -1}
-		b.entries[row] = e
-		b.setCount(row, e, 1)
-		return false
-	}
-	if floor, ok := b.byCount[b.spillover]; ok {
-		var victim rh.Row
-		for victim = range floor {
-			break
-		}
-		ve := b.entries[victim]
-		delete(floor, victim)
-		if len(floor) == 0 {
-			delete(b.byCount, b.spillover)
-		}
-		delete(b.entries, victim)
-		ve.lastMitig = b.spillover
-		ve.count = -1
-		b.entries[row] = ve
-		b.setCount(row, ve, b.spillover+1)
-		if ve.count-ve.lastMitig >= cut {
-			ve.lastMitig = ve.count
-			d.Mitigations++
-			return true
-		}
-		return false
-	}
-	b.spillover++
-	return false
+	return mitigate
 }
 
 // ActivateMeta implements rh.Tracker; DAPPER has no DRAM metadata.

@@ -26,6 +26,8 @@ import (
 // Hardware performs the floor search with a CAM; this implementation
 // keeps an exact count->rows index so every operation is O(1), making
 // the software model fast enough to drive full-window simulations.
+// When several rows sit at the floor, the one listed last at that
+// count is replaced, so a rerun replaces the same rows.
 type Graphene struct {
 	geom      Geometry
 	threshold int // mitigation threshold (T_RH/2)
@@ -37,13 +39,17 @@ type Graphene struct {
 }
 
 type grapheneEntry struct {
+	row       rh.Row
 	count     int
 	lastMitig int // estimate at the last mitigation
+	pos       int // index in the bank's byCount[count] list
 }
 
+// grapheneBank is one Misra-Gries table: Graphene keeps one per bank,
+// DAPPER likewise, and START pools one for the whole controller.
 type grapheneBank struct {
 	entries   map[rh.Row]*grapheneEntry
-	byCount   map[int]map[rh.Row]struct{} // count -> resident rows at that count
+	byCount   map[int][]*grapheneEntry // count -> resident entries at that count
 	spillover int
 	capacity  int
 }
@@ -75,9 +81,71 @@ func NewGraphene(geom Geometry, trh int) (*Graphene, error) {
 func newGrapheneBank(capacity int) grapheneBank {
 	return grapheneBank{
 		entries:  make(map[rh.Row]*grapheneEntry),
-		byCount:  make(map[int]map[rh.Row]struct{}),
+		byCount:  make(map[int][]*grapheneEntry),
 		capacity: capacity,
 	}
+}
+
+// update applies one Misra-Gries step for row. mitigate reports that
+// the row's estimate has advanced by at least cut since its last
+// mitigation, which update then records; replaced reports that the row
+// took over the entry listed last at the spillover floor.
+func (b *grapheneBank) update(row rh.Row, cut int) (mitigate, replaced bool) {
+	e := b.entries[row]
+	switch {
+	case e != nil:
+		b.unlist(e)
+		b.list(e, e.count+1)
+	case len(b.entries) < b.capacity:
+		e = &grapheneEntry{row: row}
+		b.entries[row] = e
+		b.list(e, 1)
+		return false, false
+	default:
+		// Table full: replace a row stranded at the floor, or raise the
+		// floor when none is. The new row inherits spillover+1, a
+		// conservative overestimate of its count.
+		floor := b.byCount[b.spillover]
+		if len(floor) == 0 {
+			b.spillover++
+			return false, false
+		}
+		e = floor[len(floor)-1]
+		b.unlist(e)
+		delete(b.entries, e.row)
+		e.row = row
+		e.lastMitig = b.spillover
+		b.entries[row] = e
+		b.list(e, b.spillover+1)
+		replaced = true
+	}
+	if e.count-e.lastMitig < cut {
+		return false, replaced
+	}
+	e.lastMitig = e.count
+	return true, replaced
+}
+
+// list appends e to the resident list of count.
+func (b *grapheneBank) list(e *grapheneEntry, count int) {
+	e.count = count
+	set := b.byCount[count]
+	e.pos = len(set)
+	b.byCount[count] = append(set, e)
+}
+
+// unlist swap-removes e from the resident list of its count.
+func (b *grapheneBank) unlist(e *grapheneEntry) {
+	set := b.byCount[e.count]
+	n := len(set) - 1
+	if n == 0 {
+		delete(b.byCount, e.count)
+		return
+	}
+	last := set[n]
+	set[e.pos], last.pos = last, e.pos
+	set[n] = nil
+	b.byCount[e.count] = set[:n]
 }
 
 // MustNewGraphene is NewGraphene for statically valid parameters.
@@ -98,65 +166,13 @@ func (g *Graphene) EntriesPerBank() int { return g.perBank }
 // Threshold returns the operating (mitigation) threshold, T_RH/2.
 func (g *Graphene) Threshold() int { return g.threshold }
 
-func (b *grapheneBank) setCount(row rh.Row, e *grapheneEntry, newCount int) {
-	if set, ok := b.byCount[e.count]; ok {
-		delete(set, row)
-		if len(set) == 0 {
-			delete(b.byCount, e.count)
-		}
-	}
-	e.count = newCount
-	set := b.byCount[newCount]
-	if set == nil {
-		set = make(map[rh.Row]struct{})
-		b.byCount[newCount] = set
-	}
-	set[row] = struct{}{}
-}
-
 // Activate implements rh.Tracker.
 func (g *Graphene) Activate(row rh.Row) bool {
-	b := &g.banks[g.geom.bank(row)]
-	if e, ok := b.entries[row]; ok {
-		b.setCount(row, e, e.count+1)
-		if e.count-e.lastMitig >= g.threshold {
-			e.lastMitig = e.count
-			g.Mitigations++
-			return true
-		}
-		return false
+	mitigate, _ := g.banks[g.geom.bank(row)].update(row, g.threshold)
+	if mitigate {
+		g.Mitigations++
 	}
-	if len(b.entries) < b.capacity {
-		e := &grapheneEntry{count: -1} // setCount fixes the index
-		b.entries[row] = e
-		b.setCount(row, e, 1)
-		return false
-	}
-	// Table full: replace a row stranded at the spillover floor.
-	if floor, ok := b.byCount[b.spillover]; ok {
-		var victim rh.Row
-		for victim = range floor {
-			break
-		}
-		ve := b.entries[victim]
-		delete(floor, victim)
-		if len(floor) == 0 {
-			delete(b.byCount, b.spillover)
-		}
-		delete(b.entries, victim)
-		ve.lastMitig = b.spillover
-		ve.count = -1
-		b.entries[row] = ve
-		b.setCount(row, ve, b.spillover+1)
-		if ve.count-ve.lastMitig >= g.threshold {
-			ve.lastMitig = ve.count
-			g.Mitigations++
-			return true
-		}
-		return false
-	}
-	b.spillover++
-	return false
+	return mitigate
 }
 
 // ActivateMeta implements rh.Tracker; Graphene has no DRAM metadata.

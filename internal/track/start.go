@@ -113,50 +113,17 @@ func (s *START) Threshold() int { return s.threshold }
 // the shared pool: hit increments, miss inserts, a full pool replaces
 // a row stranded at the spillover floor or raises the floor.
 func (s *START) Activate(row rh.Row) bool {
-	b := &s.pool
-	if e, ok := b.entries[row]; ok {
-		b.setCount(row, e, e.count+1)
-		if e.count-e.lastMitig >= s.threshold {
-			e.lastMitig = e.count
-			s.Mitigations++
-			return true
-		}
-		return false
-	}
-	if len(b.entries) < b.capacity {
-		e := &grapheneEntry{count: -1}
-		b.entries[row] = e
-		b.setCount(row, e, 1)
-		return false
-	}
-	if floor, ok := b.byCount[b.spillover]; ok {
+	mitigate, replaced := s.pool.update(row, s.threshold)
+	if replaced {
 		s.Evictions++
-		var victim rh.Row
-		for victim = range floor {
-			break
-		}
-		ve := b.entries[victim]
-		delete(floor, victim)
-		if len(floor) == 0 {
-			delete(b.byCount, b.spillover)
-		}
-		delete(b.entries, victim)
-		ve.lastMitig = b.spillover
-		ve.count = -1
-		b.entries[row] = ve
-		b.setCount(row, ve, b.spillover+1)
-		if ve.count-ve.lastMitig >= s.threshold {
-			ve.lastMitig = ve.count
-			s.Mitigations++
-			return true
-		}
-		return false
 	}
-	b.spillover++
-	if b.spillover > s.SpilloverPeak {
-		s.SpilloverPeak = b.spillover
+	if s.pool.spillover > s.SpilloverPeak {
+		s.SpilloverPeak = s.pool.spillover
 	}
-	return false
+	if mitigate {
+		s.Mitigations++
+	}
+	return mitigate
 }
 
 // ActivateMeta implements rh.Tracker; START has no DRAM metadata.

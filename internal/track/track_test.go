@@ -2,8 +2,10 @@ package track
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/rh"
 )
 
@@ -395,5 +397,141 @@ func TestAllTrackersImplementInterface(t *testing.T) {
 		}
 		tr.Activate(rh.Row(0))
 		tr.ResetWindow()
+	}
+}
+
+// TestMisraGriesVictimIsReproducible drives capacity+1 rows round-robin
+// through one bank, a quarter of the accesses going to random rows of
+// that bank, so the full table keeps replacing entries at the spillover
+// floor. Reruns must mitigate the same rows at the same activations:
+// Graphene, DAPPER and START used to take the floor victim in Go's
+// randomized map order.
+func TestMisraGriesVictimIsReproducible(t *testing.T) {
+	geom := Geometry{Rows: 1024, RowsPerBank: 256, Banks: 4, ACTMax: 80}
+	cases := []struct {
+		name string
+		make func() (rh.Tracker, int) // tracker and its table capacity
+	}{
+		{"graphene", func() (rh.Tracker, int) {
+			g := MustNewGraphene(geom, 20)
+			return g, g.EntriesPerBank()
+		}},
+		{"dapper", func() (rh.Tracker, int) {
+			d := MustNewDAPPER(geom, 20)
+			return d, d.EntriesPerBank()
+		}},
+		{"start", func() (rh.Tracker, int) {
+			s := MustNewSTART(geom, 20, 40*startEntryBytes)
+			return s, s.Capacity()
+		}},
+	}
+	probe := func(tr rh.Tracker, capacity int) []int {
+		rng := rand.New(rand.NewSource(7))
+		var mitigs []int
+		for i := 0; i < 20000; i++ {
+			row := rh.Row(i % (capacity + 1))
+			if rng.Intn(4) == 0 {
+				row = rh.Row(rng.Intn(geom.RowsPerBank))
+			}
+			if tr.Activate(row) {
+				mitigs = append(mitigs, i, int(row))
+			}
+		}
+		return mitigs
+	}
+	for _, c := range cases {
+		want := probe(c.make())
+		if len(want) == 0 {
+			t.Fatalf("%s: the probe issued no mitigations", c.name)
+		}
+		for run := 1; run < 10; run++ {
+			if got := probe(c.make()); !slices.Equal(got, want) {
+				t.Errorf("%s: rerun %d mitigated differently from the first run", c.name, run)
+				break
+			}
+		}
+	}
+}
+
+// logSink records metadata traffic in order: offset*2 for a read,
+// offset*2+1 for a write.
+type logSink struct{ ops []uint64 }
+
+func (s *logSink) MetaRead(off uint64)  { s.ops = append(s.ops, off*2) }
+func (s *logSink) MetaWrite(off uint64) { s.ops = append(s.ops, off*2+1) }
+
+// flatCRA is the reference CRA: one flat counter per row, all cleared
+// at each window reset, behind the same line-granularity cache.
+type flatCRA struct {
+	threshold int
+	mc        *cache.SetAssoc
+	counts    []uint16
+	sink      rh.MemSink
+}
+
+func (c *flatCRA) activate(row rh.Row) bool {
+	line := uint64(row) / craRowsPerLine
+	if _, ok := c.mc.Lookup(line); !ok {
+		c.sink.MetaRead(line * 64)
+		if victim, evicted := c.mc.Insert(line, 0, false); evicted && victim.Dirty {
+			c.sink.MetaWrite(victim.Key * 64)
+		}
+	}
+	c.mc.Update(line, 0)
+	c.counts[row]++
+	if int(c.counts[row]) >= c.threshold {
+		c.counts[row] = 0
+		return true
+	}
+	return false
+}
+
+// TestCRAMatchesFlatReference pins CRA's paged counters against the
+// flat table across window resets: every mitigation, every row's count
+// and the metadata traffic must agree.
+func TestCRAMatchesFlatReference(t *testing.T) {
+	geom := Geometry{Rows: 5*rh.CounterPageRows + 300} // CRA reads only Rows
+	var got, want logSink
+	c := MustNewCRA(geom, testTRH, 1024, &got)
+	mc, err := cache.New(16, 16, cache.LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &flatCRA{threshold: c.Threshold(), mc: mc, counts: make([]uint16, geom.Rows), sink: &want}
+	rng := rand.New(rand.NewSource(3))
+	mitigs := 0
+	for i := 0; i < 60000; i++ {
+		if rng.Intn(5000) == 0 {
+			for r, n := range ref.counts {
+				if c.Count(rh.Row(r)) != int(n) {
+					t.Fatalf("act %d, before reset: row %d counts %d, reference %d", i, r, c.Count(rh.Row(r)), n)
+				}
+			}
+			c.ResetWindow()
+			ref.mc.Reset()
+			clear(ref.counts)
+		}
+		row := rh.Row(rng.Intn(geom.Rows))
+		if rng.Intn(2) == 0 {
+			row = rh.Row(rng.Intn(12) * 1709) // hot rows across pages
+		}
+		m := c.Activate(row)
+		if m != ref.activate(row) {
+			t.Fatalf("act %d: row %d mitigation %v, reference %v", i, row, m, !m)
+		}
+		if m {
+			mitigs++
+		}
+	}
+	for r, n := range ref.counts {
+		if c.Count(rh.Row(r)) != int(n) {
+			t.Fatalf("row %d counts %d, reference %d", r, c.Count(rh.Row(r)), n)
+		}
+	}
+	if mitigs == 0 || int64(mitigs) != c.Mitigations {
+		t.Fatalf("%d mitigations, tracker reports %d", mitigs, c.Mitigations)
+	}
+	if !slices.Equal(got.ops, want.ops) {
+		t.Fatalf("metadata traffic differs: %d ops, reference %d", len(got.ops), len(want.ops))
 	}
 }

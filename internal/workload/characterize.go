@@ -21,13 +21,11 @@ type Characterization struct {
 func Characterize(p Profile, base StreamConfig) (Characterization, error) {
 	acts := make(map[uint64]int64)
 	var reqs, writes, insts int64
-	for core := 0; core < base.Cores; core++ {
-		cfg := base
-		cfg.CoreID = core
-		s, err := NewStream(p, cfg)
-		if err != nil {
-			return Characterization{}, err
-		}
+	streams, err := NewStreams(p, base)
+	if err != nil {
+		return Characterization{}, err
+	}
+	for _, s := range streams {
 		lastRowKey := uint64(1<<63 - 1)
 		for {
 			r, ok := s.Next()
@@ -40,8 +38,8 @@ func Characterize(p Profile, base StreamConfig) (Characterization, error) {
 				writes++
 				continue
 			}
-			loc := cfg.Mem.Decode(r.Line)
-			key := rowKey(cfg.Mem, loc)
+			loc := base.Mem.Decode(r.Line)
+			key := rowKey(base.Mem, loc)
 			if key != lastRowKey {
 				acts[key]++
 				lastRowKey = key

@@ -68,7 +68,7 @@ type Stream struct {
 	chBits      uint    // log2 of Channels
 	rankBits    uint    // log2 of RanksPerChannel
 	rowsPerCore int     // in-bank rows available to this core
-	perm        []int32 // random page placement within the partition
+	perm        []int32 // random page placement within the partition (read-only, shared)
 
 	uniqueRows int // this core's share of the footprint
 	hotRows    int
@@ -122,6 +122,35 @@ const hotBlockSize = 16
 
 // NewStream creates a trace stream for one core.
 func NewStream(p Profile, cfg StreamConfig) (*Stream, error) {
+	return newStream(p, cfg, nil)
+}
+
+// NewStreams creates the streams of all cfg.Cores cores (cfg.CoreID is
+// ignored); stream i is the one NewStream returns for CoreID i. The
+// page-placement permutation depends only on the seed and the
+// partition size, so the cores share one read-only copy instead of
+// each shuffling its own.
+func NewStreams(p Profile, cfg StreamConfig) ([]*Stream, error) {
+	if cfg.Cores <= 0 {
+		return nil, fmt.Errorf("workload: bad core count %d", cfg.Cores)
+	}
+	streams := make([]*Stream, cfg.Cores)
+	var perm []int32
+	for i := range streams {
+		cfg.CoreID = i
+		s, err := newStream(p, cfg, perm)
+		if err != nil {
+			return nil, err
+		}
+		perm = s.perm
+		streams[i] = s
+	}
+	return streams, nil
+}
+
+// newStream creates one core's stream over perm, the shared placement
+// permutation, or over a fresh one when perm is nil.
+func newStream(p Profile, cfg StreamConfig, perm []int32) (*Stream, error) {
 	if cfg.Cores <= 0 || cfg.CoreID < 0 || cfg.CoreID >= cfg.Cores {
 		return nil, fmt.Errorf("workload: bad core %d of %d", cfg.CoreID, cfg.Cores)
 	}
@@ -176,20 +205,10 @@ func NewStream(p Profile, cfg StreamConfig) (*Stream, error) {
 	if s.rowsPerCore < 1 {
 		return nil, fmt.Errorf("workload: %d cores do not fit in %d demand rows", cfg.Cores, cfg.MaxDemandRow+1)
 	}
-	// Random page placement: the OS scatters a workload's pages over
-	// the physical row space, so touched rows land in row-groups
-	// (Hydra's GCT granularity) roughly Poisson-distributed rather
-	// than packed back to back. A seeded Fisher-Yates permutation of
-	// the partition reproduces that.
-	s.perm = make([]int32, s.rowsPerCore)
-	for i := range s.perm {
-		s.perm[i] = int32(i)
+	if perm == nil {
+		perm = placement(s.rowsPerCore, cfg.Seed)
 	}
-	permRng := splitMix{state: cfg.Seed ^ 0x5eed5eed5eed}
-	for i := len(s.perm) - 1; i > 0; i-- {
-		j := int(permRng.next() % uint64(i+1))
-		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
-	}
+	s.perm = perm
 	// Expected hot activations set the hot-pick probability.
 	hotActs := 0
 	if hot > 0 {
@@ -220,6 +239,24 @@ func NewStream(p Profile, cfg StreamConfig) (*Stream, error) {
 	}
 	s.coldNext = hot
 	return s, nil
+}
+
+// placement returns the page-placement permutation of a rows-row
+// partition. The OS scatters a workload's pages over the physical row
+// space, so touched rows land in row-groups (Hydra's GCT granularity)
+// roughly Poisson-distributed rather than packed back to back. A
+// seeded Fisher-Yates permutation of the partition reproduces that.
+func placement(rows int, seed uint64) []int32 {
+	perm := make([]int32, rows)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	rng := splitMix{state: seed ^ 0x5eed5eed5eed}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := int(rng.next() % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm
 }
 
 // MustNewStream is NewStream for statically valid parameters.

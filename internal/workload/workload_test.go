@@ -123,6 +123,43 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestNewStreamsMatchesNewStream pins the shared placement permutation:
+// each core's stream from NewStreams yields, to exhaustion, the records
+// NewStream yields for that CoreID.
+func TestNewStreamsMatchesNewStream(t *testing.T) {
+	for _, name := range []string{"xz", "parest", "bc_t", "GUPS"} {
+		p, _ := ByName(name)
+		for _, seed := range []uint64{1, 0x9e3779b97f4a7c15} {
+			cfg := testStreamConfig()
+			cfg.Scale = 64
+			cfg.Seed = seed
+			streams, err := NewStreams(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(streams) != cfg.Cores {
+				t.Fatalf("%s: %d streams for %d cores", name, len(streams), cfg.Cores)
+			}
+			for core, got := range streams {
+				c := cfg
+				c.CoreID = core
+				want := MustNewStream(p, c)
+				for i := 0; ; i++ {
+					rg, okg := got.Next()
+					rw, okw := want.Next()
+					if rg != rw || okg != okw {
+						t.Fatalf("%s seed %#x core %d: record %d is %+v, %v; NewStream gives %+v, %v",
+							name, seed, core, i, rg, okg, rw, okw)
+					}
+					if !okw {
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStreamsPartitionedPerCore(t *testing.T) {
 	p, _ := ByName("bwaves")
 	cfg := testStreamConfig()
@@ -225,6 +262,14 @@ func TestNewStreamValidation(t *testing.T) {
 	cfg.MaxDemandRow = 0
 	if _, err := NewStream(p, cfg); err == nil {
 		t.Error("bad MaxDemandRow accepted")
+	}
+	if _, err := NewStreams(p, cfg); err == nil {
+		t.Error("NewStreams accepted a bad MaxDemandRow")
+	}
+	cfg = testStreamConfig()
+	cfg.Cores = 0
+	if _, err := NewStreams(p, cfg); err == nil {
+		t.Error("NewStreams accepted zero cores")
 	}
 }
 
