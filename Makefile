@@ -35,8 +35,8 @@ test:
 # full test suite under the race detector (the campaign harness is
 # concurrent), plus a single-iteration pass over every benchmark so a
 # broken benchmark cannot sit undetected until someone runs the perf
-# gate, plus the docs-lint keeping docs/TRACKERS.md in sync with
-# internal/track.
+# gate, plus the docs-lint keeping docs/TRACKERS.md and
+# docs/METRICS.md in sync with the code.
 # The suite includes the quick tier of every property-test machine
 # (internal/proptest; catalog in docs/TESTING.md) — set TEST_INTENSITY
 # or use `make soak` for the thorough tier. The explicit -timeout
@@ -66,10 +66,10 @@ soak:
 
 # docs-lint fails if any exported rh.Tracker implementation in
 # internal/track is not mentioned in docs/TRACKERS.md, or if the
-# metric catalog in docs/METRICS.md drifts from the registered names.
+# metric catalog in docs/METRICS.md drifts from the registered names;
+# one run reports both checks' failures.
 docs-lint:
-	$(GO) run ./cmd/trackerlint
-	$(GO) run ./cmd/metriclint
+	$(GO) run ./cmd/doclint
 
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem ./...

@@ -14,7 +14,7 @@
 // tolerance, or allocates more per op. Benchmarks absent from the
 // baseline are reported as new and never fail the gate (the next
 // `benchgate -write` absorbs them); benchmarks only in the baseline
-// are skipped.
+// are reported as removed and never fail it either.
 //
 // Baselines record the machine they were measured on (GOOS/GOARCH,
 // CPU count, GOMAXPROCS); -compare refuses a baseline from a different
@@ -100,7 +100,7 @@ func run(write bool, out, prev, compare string, tolerance float64, allowEnv bool
 	deltas := stats.CompareBench(base.Benchmarks, current, tolerance)
 	common := 0
 	for _, d := range deltas {
-		if !d.New {
+		if !d.New && !d.Removed {
 			common++
 		}
 	}
@@ -112,6 +112,11 @@ func run(write bool, out, prev, compare string, tolerance float64, allowEnv bool
 		if d.New {
 			fmt.Printf("%-40s %24.1f ns/op  new (not in baseline)\n",
 				d.Name, d.Current.NsPerOp)
+			continue
+		}
+		if d.Removed {
+			fmt.Printf("%-40s %10.1f ns/op  removed (not in current run)\n",
+				d.Name, d.Baseline.NsPerOp)
 			continue
 		}
 		status := "ok"

@@ -57,7 +57,6 @@ func run(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	baseline := fs.Bool("baseline", true, "also run the non-secure baseline and report slowdown")
 	policy := fs.String("mitigation", "refresh", "mitigation policy: refresh|rowswap|throttle")
-	cellParallel := fs.Bool("cell-parallel", false, "run memory channels on worker goroutines (no-op at GOMAXPROCS 1; results are identical)")
 	traceDir := fs.String("tracedir", "", "replay recorded traces (core*.trc from tracegen) instead of generating")
 	jsonOut := fs.String("json", "", "write a run-report JSON file (\"-\" = stdout)")
 	traceOut := fs.String("trace", "", "write a JSONL event trace of the tracked run")
@@ -105,7 +104,6 @@ func run(ctx context.Context, args []string) error {
 	cfg.Tracker = sim.TrackerKind(*tracker)
 	cfg.CRACacheBytes = *craKB * 1024
 	cfg.Mitigation = sim.MitigationPolicy(*policy)
-	cfg.Parallel = *cellParallel
 	if *traceOut != "" {
 		cfg.Trace = obsv.NewTracer(*traceCap)
 	}

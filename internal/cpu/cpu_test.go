@@ -23,13 +23,19 @@ func (s *sliceTrace) Next() (workload.Request, bool) {
 	return r, true
 }
 
+// runSystem runs cores and mem to completion the way sim.Run does: a
+// core steps while it is strictly earliest, otherwise memory runs one
+// epoch bounded by the lookahead and the earliest core event.
 func runSystem(t *testing.T, cores []*Core, mem *memsim.Memory) {
 	t.Helper()
 	for steps := 0; steps < 50_000_000; steps++ {
-		next := mem.NextTime()
+		memNext := mem.NextTime()
+		next, coreMin := memNext, memsim.Infinity
 		var core *Core
 		for _, c := range cores {
-			if tt := c.NextTime(); tt < next {
+			tt := c.NextTime()
+			coreMin = min(coreMin, tt)
+			if tt < next {
 				next = tt
 				core = c
 			}
@@ -45,7 +51,7 @@ func runSystem(t *testing.T, cores []*Core, mem *memsim.Memory) {
 		if core != nil {
 			core.Step()
 		} else {
-			mem.Step()
+			mem.RunEpoch(max(min(memNext+mem.Lookahead(), coreMin), memNext+1))
 		}
 	}
 	t.Fatal("system did not terminate")

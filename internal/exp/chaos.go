@@ -103,9 +103,6 @@ func chaosProfile() workload.Profile {
 // failure mode is visible — a scenario only fails its cell when the
 // simulation itself errors.
 func Chaos(o Options, names []string) (*ChaosReport, error) {
-	if o.CellParallel {
-		return nil, fmt.Errorf("exp: CellParallel is incompatible with the chaos campaign: the fault injector mutates shared state from channel callbacks and is not shard-safe; run chaos cells serially (drop -cell-parallel)")
-	}
 	o = o.withDefaults()
 	if o.Target == "" {
 		o.Target = "chaos"

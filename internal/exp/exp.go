@@ -36,14 +36,6 @@ type Options struct {
 	Workloads []string
 	// Parallelism bounds concurrent simulations (default: NumCPU).
 	Parallelism int
-	// CellParallel runs each simulation's memory channels on worker
-	// goroutines (sim.Config.Parallel) — bitwise-identical results,
-	// useful when a campaign has fewer cells than cores. It is
-	// auto-disabled when the campaign pool already saturates the CPUs
-	// (harness.PoolSaturated): the two parallelism levels compete for
-	// the same cores, and the cell-level pool wins. Incompatible with
-	// the chaos campaign, whose fault injector is not shard-safe.
-	CellParallel bool
 	// Seed makes runs reproducible. Nil selects the default seed (1);
 	// any explicitly set value — including 0 — is used as-is, so seed
 	// 0 is reproducible as itself (use SeedOf to build the pointer).
@@ -122,9 +114,6 @@ func (o Options) withDefaults() Options {
 	if o.Trace != nil {
 		o.Parallelism = 1
 	}
-	if o.CellParallel && harness.PoolSaturated(o.Parallelism) {
-		o.CellParallel = false
-	}
 	if o.Seed == nil {
 		o.Seed = SeedOf(1)
 	}
@@ -162,7 +151,6 @@ func (o Options) baseConfig(p workload.Profile) sim.Config {
 	cfg.TRH = o.TRH
 	cfg.Seed = o.seed()
 	cfg.Trace = o.Trace
-	cfg.Parallel = o.CellParallel
 	return cfg
 }
 

@@ -32,9 +32,6 @@ func BuildReport(target string, o Options, rep any, elapsed time.Duration) *obsv
 	if len(o.Workloads) > 0 {
 		out.Params["workloads"] = o.Workloads
 	}
-	if o.CellParallel {
-		out.Params["cell_parallel"] = true
-	}
 	if r, ok := rep.(reportable); ok {
 		r.runReport(out)
 	} else {

@@ -11,13 +11,15 @@ import (
 
 // This file keeps the original linear-scan scheduler as a reference
 // implementation and checks, over randomized request streams, that the
-// indexed scheduler in channel.go makes the identical sequence of
-// decisions: same service order, same completion and activation times,
-// same statistics. The reference scans every queued request on every
-// decision (the pre-index behavior) with this PR's semantic fixes
-// folded in — lowest-seq starvation rescue, tWR/tWTR write timing,
-// meta writes coalesced through the write queue, clamped refresh
-// stagger — so any divergence isolates the indexing itself.
+// indexed scheduler in channel.go, run by the epoch engine the way a
+// cell runs it, makes the identical sequence of decisions: same service
+// order, same completion and activation times, same statistics. The
+// reference scans every queued request on every decision (the
+// pre-index behavior) and steps one global event at a time, firing
+// callbacks at once, with the scheduler's semantic fixes folded in —
+// lowest-seq starvation rescue, tWR/tWTR write timing, meta writes
+// coalesced through the write queue, clamped refresh stagger — so any
+// divergence isolates the indexing or the epoch barrier's merge.
 
 type linChannel struct {
 	cfg *Config
@@ -407,6 +409,7 @@ func (c *linChannel) service(r *Request, now int64) {
 type linMemory struct {
 	cfg      Config
 	channels []*linChannel
+	epochs   int64
 }
 
 func newLinMemory(cfg Config) *linMemory {
@@ -432,25 +435,35 @@ func (m *linMemory) NextTime() int64 {
 	return t
 }
 
-func (m *linMemory) Step() {
-	best := m.channels[0]
-	for _, c := range m.channels[1:] {
-		if c.nextAt < best.nextAt {
-			best = c
-		}
-	}
-	best.step()
+// Lookahead matches Memory.Lookahead.
+func (m *linMemory) Lookahead() int64 {
+	return m.cfg.Timing.TCAS + m.cfg.Timing.TBURST + m.cfg.StaticLatency
 }
 
-// StepNext matches Memory.StepNext for the memLike drivers. The
-// reference implementation stays naive on purpose: step, rescan.
-func (m *linMemory) StepNext() int64 {
-	m.Step()
+// RunEpoch is the reference for Memory.RunEpoch: it steps the earliest
+// channel (lowest id on ties) one event at a time until every channel's
+// next event is at or past horizon, firing callbacks as each event
+// happens. That is the order the epoch barrier's merge must reproduce.
+func (m *linMemory) RunEpoch(horizon int64) int64 {
+	m.epochs++
+	for m.NextTime() < horizon {
+		best := m.channels[0]
+		for _, c := range m.channels[1:] {
+			if c.nextAt < best.nextAt {
+				best = c
+			}
+		}
+		best.step()
+	}
 	return m.NextTime()
 }
 
+// NewRequest matches Memory.NewRequest; the reference never recycles.
+func (m *linMemory) NewRequest() *Request { return &Request{} }
+
 func (m *linMemory) Stats() Stats {
 	var s Stats
+	s.Epochs = m.epochs
 	for _, c := range m.channels {
 		s.Reads += c.stats.Reads
 		s.Writes += c.stats.Writes
@@ -477,8 +490,8 @@ func (m *linMemory) Stats() Stats {
 }
 
 // reqSpec is one generated request, shared by both simulators (each
-// builds its own Request instances; the structs carry per-scheduler
-// internal state and must not be shared).
+// takes its own Request instances from its NewRequest; the structs
+// carry per-scheduler internal state and must not be shared).
 type reqSpec struct {
 	line   uint64
 	kind   Kind
@@ -497,9 +510,11 @@ type schedEvent struct {
 }
 
 type memLike interface {
+	NewRequest() *Request
 	Submit(*Request) bool
 	NextTime() int64
-	StepNext() int64
+	Lookahead() int64
+	RunEpoch(horizon int64) int64
 }
 
 // driveStream submits the specs in arrival order, each at its arrival
@@ -519,11 +534,15 @@ type lateSpec struct {
 	submit int64
 }
 
-// driveLate submits the specs in submit order, stepping the simulator
+// driveLate submits the specs in submit order, advancing the simulator
 // through every event strictly before each submit time, then drains
-// it, returning the full observable event log. afterSubmit, when
-// non-nil, runs after every Submit. It advances with the fused
-// StepNext, so each iteration costs one channel scan instead of two.
+// it, returning the full observable event log. It advances in epochs
+// no wider than the lookahead, clamped at the next submit time, the way
+// sim.Run clamps at the next core event. Requests come from the
+// simulator's NewRequest, so on the indexed side they recycle through
+// the pool at each barrier, possibly onto another channel; a refused
+// request is kept and carries the next spec. afterSubmit, when non-nil,
+// runs after every Submit.
 func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateSpec, afterSubmit func()) []schedEvent {
 	var events []schedEvent
 	setHook(func(row uint32, kind Kind, at int64) {
@@ -532,19 +551,28 @@ func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateS
 	onFin := func(r *Request, f int64) {
 		events = append(events, schedEvent{fin: true, id: r.User, t: f})
 	}
-	for i, sp := range specs {
-		for t := m.NextTime(); t < sp.submit; t = m.StepNext() {
+	advance := func(bound int64) {
+		for t := m.NextTime(); t < bound; {
+			t = m.RunEpoch(min(t+m.Lookahead(), bound))
 		}
-		r := &Request{Line: sp.line, Kind: sp.kind, Arrive: sp.arrive, User: int64(i), OnFinish: onFin}
-		if !m.Submit(r) {
+	}
+	var r *Request
+	for i, sp := range specs {
+		advance(sp.submit)
+		if r == nil {
+			r = m.NewRequest()
+		}
+		r.Line, r.Kind, r.Arrive, r.User, r.OnFinish = sp.line, sp.kind, sp.arrive, int64(i), onFin
+		if m.Submit(r) {
+			r = nil
+		} else {
 			events = append(events, schedEvent{refuse: true, id: int64(i)})
 		}
 		if afterSubmit != nil {
 			afterSubmit()
 		}
 	}
-	for t := m.NextTime(); t < Infinity; t = m.StepNext() {
-	}
+	advance(Infinity)
 	return events
 }
 
@@ -591,7 +619,7 @@ func fuzzStream(rng *rand.Rand, mem dram.Config, n int) []reqSpec {
 }
 
 // TestDifferentialSchedulerEquivalence fuzzes request streams through
-// the indexed scheduler and the linear reference and requires bitwise
+// the epoch engine and the linear reference and requires bitwise
 // identical event logs and statistics.
 func TestDifferentialSchedulerEquivalence(t *testing.T) {
 	mem := dram.Baseline()

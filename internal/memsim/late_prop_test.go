@@ -9,8 +9,8 @@ package memsim
 // throttle policy dates demand reads into the future, out of order with
 // each other. This machine generates such schedules — every request
 // carries a submit time and a separate arrival time — and requires the
-// indexed scheduler and the linear reference to produce
-// bitwise-identical event logs and statistics. It is a separate machine
+// indexed scheduler on the epoch engine and the linear reference to
+// produce bitwise-identical event logs and statistics. It is a separate machine
 // so the scheduler machine's draw sequence, and with it the committed
 // leapfrog trace, stays as it is.
 

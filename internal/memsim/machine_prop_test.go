@@ -6,14 +6,12 @@ package memsim
 // against a starving victim, clock gaps landing on refresh boundaries,
 // same-cycle arrival pileups, meta storms past the pressure threshold —
 // together with generated queue-cap configurations, and requires the
-// heap-indexed scheduler and the linear-scan reference to produce
-// bitwise-identical event logs and statistics. A divergence shrinks to
-// a minimal schedule.
+// indexed scheduler on the epoch engine and the linear-scan reference
+// to produce bitwise-identical event logs and statistics. A divergence
+// shrinks to a minimal schedule.
 
 import (
-	"os"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/dram"
@@ -140,8 +138,13 @@ func genSchedConfig(t *proptest.T, mem dram.Config) Config {
 	return cfg
 }
 
-func schedulerEquivProp(tb testing.TB) func(*proptest.T) {
-	mem := dram.Baseline()
+// schedulerEquivProp drives a generated schedule through the epoch
+// engine and the linear reference under a generated configuration and
+// requires bitwise-identical event logs and Stats. With varyChannels
+// the memory has a drawn 1, 2 or 4 channels, which exercises the
+// barrier merge across channel counts; otherwise it has the baseline's
+// two, and the draws are the ones the committed leapfrog trace replays.
+func schedulerEquivProp(varyChannels bool) func(*proptest.T) {
 	segments := schedSegments()
 	segNames := make([]string, 0, len(segments))
 	for name := range segments {
@@ -150,93 +153,10 @@ func schedulerEquivProp(tb testing.TB) func(*proptest.T) {
 	// Deterministic order for SampledFrom (map iteration is not).
 	sortStrings(segNames)
 	return func(t *proptest.T) {
-		nseg := proptest.IntRange(1, 10).Draw(t, "segments")
-		var specs []reqSpec
-		clock := int64(0)
-		for s := 0; s < nseg; s++ {
-			name := proptest.SampledFrom(segNames).Draw(t, "segment")
-			specs, clock = segments[name](t, mem, specs, clock)
-		}
-		if len(specs) == 0 {
-			return
-		}
-
-		cfgA := genSchedConfig(t, mem)
-		idx := New(cfgA)
-		got := driveStream(idx, func(h func(uint32, Kind, int64)) { cfgA.OnACT = h; idx.cfg.OnACT = h }, specs)
-
-		cfgB := cfgA
-		lin := newLinMemory(cfgB)
-		want := driveStream(lin, func(h func(uint32, Kind, int64)) { cfgB.OnACT = h; lin.cfg.OnACT = h }, specs)
-
-		if len(got) != len(want) {
-			t.Fatalf("%d events vs %d in reference (%d specs)", len(got), len(want), len(specs))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("event %d of %d diverged:\nindexed:   %+v\nreference: %+v",
-					i, len(got), got[i], want[i])
-			}
-		}
-		if a, b := idx.Stats(), lin.Stats(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("stats diverged:\nindexed:   %+v\nreference: %+v", a, b)
-		}
-	}
-}
-
-// driveEpochs is driveStream's counterpart for the bulk-synchronous
-// engine: it submits the specs in arrival order, advancing the memory
-// with lookahead-bounded RunEpoch calls instead of per-event Step, then
-// drains it and returns the observable event log. Both drivers advance
-// exactly the set of decisions strictly before each arrival, so their
-// logs are comparable event for event.
-func driveEpochs(m *Memory, specs []reqSpec) []schedEvent {
-	var events []schedEvent
-	m.cfg.OnACT = func(row uint32, kind Kind, at int64) {
-		events = append(events, schedEvent{row: row, kind: kind, t: at})
-	}
-	onFin := func(r *Request, f int64) {
-		events = append(events, schedEvent{fin: true, id: r.User, t: f})
-	}
-	advance := func(bound int64) {
-		for t := m.NextTime(); t < bound; {
-			h := t + m.Lookahead()
-			if h > bound {
-				h = bound
-			}
-			t = m.RunEpoch(h)
-		}
-	}
-	for i, sp := range specs {
-		advance(sp.arrive)
-		r := &Request{Line: sp.line, Kind: sp.kind, Arrive: sp.arrive, User: int64(i), OnFinish: onFin}
-		if !m.Submit(r) {
-			events = append(events, schedEvent{refuse: true, id: int64(i)})
-		}
-	}
-	advance(Infinity)
-	return events
-}
-
-// parallelEquivProp is the parallel-vs-serial equivalence family: a
-// generated segment mix is run three ways — per-event Step (the old
-// synchronous semantics), serial epochs, and parallel epochs — and all
-// three must produce bitwise-identical event logs and statistics. The
-// Step reference pins the epoch engine's merge order to the global
-// earliest-event order (the hooks here only log, so the engines'
-// feedback semantics coincide); the serial/parallel pair pins execution
-// strategy out of the results entirely, at any GOMAXPROCS. Runs under
-// -race in `make check` (quick tier) and `make soak` (thorough).
-func parallelEquivProp(tb testing.TB) func(*proptest.T) {
-	segments := schedSegments()
-	segNames := make([]string, 0, len(segments))
-	for name := range segments {
-		segNames = append(segNames, name)
-	}
-	sortStrings(segNames)
-	return func(t *proptest.T) {
 		mem := dram.Baseline()
-		mem.Channels = []int{1, 2, 4}[proptest.IntRange(0, 2).Draw(t, "channels")]
+		if varyChannels {
+			mem.Channels = []int{1, 2, 4}[proptest.IntRange(0, 2).Draw(t, "channels")]
+		}
 		nseg := proptest.IntRange(1, 10).Draw(t, "segments")
 		var specs []reqSpec
 		clock := int64(0)
@@ -248,30 +168,15 @@ func parallelEquivProp(tb testing.TB) func(*proptest.T) {
 			return
 		}
 
-		cfgA := genSchedConfig(t, mem)
-		stepM := New(cfgA)
-		ref := driveStream(stepM, func(h func(uint32, Kind, int64)) { stepM.cfg.OnACT = h }, specs)
+		cfg := genSchedConfig(t, mem)
+		idx := New(cfg)
+		got := driveStream(idx, func(h func(uint32, Kind, int64)) { idx.cfg.OnACT = h }, specs)
+		lin := newLinMemory(cfg)
+		want := driveStream(lin, func(h func(uint32, Kind, int64)) { lin.cfg.OnACT = h }, specs)
 
-		serM := New(cfgA)
-		serial := driveEpochs(serM, specs)
-
-		cfgP := cfgA
-		cfgP.Parallel = true
-		parM := New(cfgP)
-		parallel := driveEpochs(parM, specs)
-		parM.Close()
-
-		compareLogs(t, "serial-epoch", serial, "step", ref)
-		compareLogs(t, "parallel", parallel, "serial-epoch", serial)
-		serStats, parStats := serM.Stats(), parM.Stats()
-		if !reflect.DeepEqual(serStats, parStats) {
-			t.Fatalf("stats diverged across modes:\nserial:   %+v\nparallel: %+v", serStats, parStats)
-		}
-		// The Step reference never runs epochs; mask the counter for
-		// the cross-engine comparison.
-		serStats.Epochs = 0
-		if stepStats := stepM.Stats(); !reflect.DeepEqual(serStats, stepStats) {
-			t.Fatalf("stats diverged across engines:\nepoch: %+v\nstep:  %+v", serStats, stepStats)
+		compareLogs(t, "epoch engine", got, "reference", want)
+		if a, b := idx.Stats(), lin.Stats(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("stats diverged:\nepoch engine: %+v\nreference:    %+v", a, b)
 		}
 	}
 }
@@ -288,44 +193,12 @@ func compareLogs(t *proptest.T, gotName string, got []schedEvent, wantName strin
 	}
 }
 
-// TestParallelSerialEquivalenceMachine is the generated equivalence
-// suite for the channel-parallel engine (docs/TESTING.md). CI runs it
-// under the race detector with GOMAXPROCS forced to 1, 2 and NumCPU;
-// the forced-1 leg pins the auto-disable path. On an unforced
-// single-CPU machine the test raises GOMAXPROCS to 2 itself —
-// concurrency without parallelism still drives the worker goroutines
-// and their synchronization under the race detector.
-func TestParallelSerialEquivalenceMachine(t *testing.T) {
-	if os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	proptest.Check(t, parallelEquivProp(t))
-}
-
-// TestParallelEpochsEngage pins that the equivalence suite exercises a
-// real fan-out: with multi-channel traffic and GOMAXPROCS > 1, at
-// least one epoch must run on the worker goroutines (an accidentally
-// always-serial "parallel" mode would pass every equivalence check
-// while testing nothing).
-func TestParallelEpochsEngage(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	mem := dram.Baseline()
-	mem.Channels = 4
-	cfg := DefaultConfig(mem)
-	cfg.Parallel = true
-	m := New(cfg)
-	defer m.Close()
-	var specs []reqSpec
-	for i := 0; i < 4096; i++ {
-		loc := dram.Loc{Channel: i % 4, Bank: i % 16, Row: (i / 64) % 200, Col: i % 128}
-		specs = append(specs, reqSpec{line: mem.Encode(loc), kind: ReadReq, arrive: int64(i)})
-	}
-	driveEpochs(m, specs)
-	if m.parEpochs == 0 {
-		t.Fatalf("no epoch fanned out to workers across %d epochs of 4-channel traffic", m.epochs)
-	}
+// TestEpochEquivalenceMachine is the scheduler machine over drawn
+// channel counts (docs/TESTING.md): the barrier merge of one, two and
+// four channel buffers must reproduce the reference's global event
+// order.
+func TestEpochEquivalenceMachine(t *testing.T) {
+	proptest.Check(t, schedulerEquivProp(true))
 }
 
 func sortStrings(s []string) {
@@ -339,7 +212,7 @@ func sortStrings(s []string) {
 // TestSchedulerEquivalenceMachine is the generated counterpart of
 // TestDifferentialSchedulerEquivalence.
 func TestSchedulerEquivalenceMachine(t *testing.T) {
-	proptest.Check(t, schedulerEquivProp(t))
+	proptest.Check(t, schedulerEquivProp(false))
 }
 
 // TestRegressionOutOfOrderArrivalLeapfrog replays the machine's
@@ -373,5 +246,5 @@ func TestRegressionOutOfOrderArrivalLeapfrog(t *testing.T) {
 		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
 		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
 		0x8fa04da357c56fe,
-	}, schedulerEquivProp(t))
+	}, schedulerEquivProp(false))
 }

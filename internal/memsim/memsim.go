@@ -21,7 +21,6 @@ package memsim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/dram"
 	"repro/internal/obsv"
@@ -103,20 +102,14 @@ type Config struct {
 
 	// OnACT, if non-nil, is invoked for every row activation the
 	// controller performs, with the global row and the activation
-	// time. It runs synchronously during Step; it may submit new
-	// requests (metadata traffic, victim refreshes).
+	// time. It runs when the epoch barrier replays the activation; it
+	// may submit new requests (metadata traffic, victim refreshes).
 	OnACT func(row uint32, kind Kind, now int64)
 
 	// Trace, when non-nil, receives refresh events (the other event
 	// kinds are emitted by the layers that own them). A nil tracer
 	// costs one branch per refresh.
 	Trace *obsv.Tracer
-
-	// Parallel lets RunEpoch fan the per-channel controllers out to
-	// worker goroutines (see epoch.go). Execution strategy only:
-	// results are bitwise-identical to serial epochs. Ignored when
-	// GOMAXPROCS is 1 at New. Callers that set it own a Close call.
-	Parallel bool
 }
 
 // DefaultConfig returns the baseline controller configuration.
@@ -154,10 +147,7 @@ type Stats struct {
 	ReadQFull  int64
 	WriteQFull int64
 
-	// Epochs counts RunEpoch barriers. Zero for callers that drive the
-	// system one event at a time (Step/StepNext). The count depends
-	// only on the event timeline, never on the execution strategy, so
-	// parallel and serial runs report the same value.
+	// Epochs counts RunEpoch barriers.
 	Epochs int64
 
 	// ReadQDepth / WriteQDepth / MetaQDepth are FR-FCFS queue depths
@@ -200,20 +190,14 @@ func (s Stats) CollectInto(r *obsv.Registry) {
 	r.Histogram("memsim.open_banks", s.OpenBanks)
 }
 
-// Memory is the full memory system: one controller per channel. The
-// caller-facing API is single-goroutine; with Config.Parallel set,
-// RunEpoch internally fans channels out to worker goroutines but every
-// callback and every method still runs on the caller's goroutine.
+// Memory is the full memory system: one controller per channel,
+// advanced by RunEpoch (epoch.go). It is single-goroutine: every method
+// and every callback runs on the caller's goroutine.
 type Memory struct {
 	cfg      Config
 	sh       shared
 	channels []*channel
-
-	epochs    int64
-	parEpochs int64 // epochs that fanned out to workers (not in Stats:
-	// it depends on the execution strategy, which results must not)
-	parallel bool
-	runner   *parRunner
+	epochs   int64
 }
 
 // New creates a memory system. It panics on invalid configuration
@@ -225,7 +209,7 @@ func New(cfg Config) *Memory {
 	if cfg.ReadQCap <= 0 || cfg.WriteQCap <= 0 || cfg.DrainHi > cfg.WriteQCap || cfg.DrainLo >= cfg.DrainHi {
 		panic(fmt.Sprintf("memsim: bad queue config %+v", cfg))
 	}
-	m := &Memory{cfg: cfg, parallel: cfg.Parallel && runtime.GOMAXPROCS(0) > 1}
+	m := &Memory{cfg: cfg}
 	for c := 0; c < cfg.Mem.Channels; c++ {
 		m.channels = append(m.channels, newChannel(&m.cfg, &m.sh, c))
 	}
@@ -250,57 +234,6 @@ func (m *Memory) NextTime() int64 {
 		}
 	}
 	return t
-}
-
-// Step advances the channel with the earliest event and delivers its
-// side effects before returning, preserving the synchronous per-event
-// semantics the test harnesses drive (RunEpoch is the batched form).
-// The caller must only call it when NextTime() < Infinity.
-func (m *Memory) Step() {
-	best := m.channels[0]
-	for _, c := range m.channels[1:] {
-		if c.nextAt < best.nextAt {
-			best = c
-		}
-	}
-	best.step()
-	m.drain()
-}
-
-// StepNext fuses Step with the follow-up NextTime: it advances the
-// earliest channel and returns the new earliest event time in a single
-// scan (the runner-up from the pre-step scan, against the stepped
-// channel's new time). Returns Infinity without stepping when every
-// channel is idle. Serial drivers loop
-//
-//	for t := m.NextTime(); t < bound; t = m.StepNext() { ... }
-//
-// instead of paying two channel scans per event.
-func (m *Memory) StepNext() int64 {
-	best := m.channels[0]
-	second := Infinity
-	for _, c := range m.channels[1:] {
-		if c.nextAt < best.nextAt {
-			second = best.nextAt
-			best = c
-		} else if c.nextAt < second {
-			second = c.nextAt
-		}
-	}
-	if best.nextAt == Infinity {
-		return Infinity
-	}
-	best.step()
-	if m.drain() {
-		// A callback may have submitted to any channel, undercutting
-		// the cached runner-up; only this path pays a second scan.
-		return m.NextTime()
-	}
-	next := best.nextAt
-	if second < next {
-		next = second
-	}
-	return next
 }
 
 // Idle reports whether every queue in every channel is empty.

@@ -12,8 +12,9 @@ func testMem(hook func(uint32, Kind, int64)) *Memory {
 	return New(cfg)
 }
 
+// drain runs m until idle in epochs of the widest exact horizon.
 func drain(m *Memory) {
-	for t := m.NextTime(); t < Infinity; t = m.StepNext() {
+	for t := m.NextTime(); t < Infinity; t = m.RunEpoch(t + m.Lookahead()) {
 	}
 }
 
@@ -342,13 +343,13 @@ func TestMetaPressurePrioritizesBacklog(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		m.Submit(&Request{Line: lineAt(mem, 0, 0, 10, i%128), Kind: ReadReq, Arrive: 0})
 	}
-	// Step until the backlog falls to the pressure bound; reads must
-	// not all have gone first.
+	// Step one cycle's decisions at a time until the backlog falls to
+	// the pressure bound; reads must not all have gone first.
 	for steps := 0; ch.metaQ.len() > metaPressure && steps < 10000; steps++ {
 		if m.NextTime() == Infinity {
 			break
 		}
-		m.Step()
+		m.RunEpoch(m.NextTime() + 1)
 	}
 	if ch.metaQ.len() > metaPressure {
 		t.Fatalf("meta backlog stuck at %d", ch.metaQ.len())

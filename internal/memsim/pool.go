@@ -3,10 +3,7 @@ package memsim
 // shared is per-Memory state the channels use in common: the request
 // free list and the global submission counter. seq is global (not per
 // channel) so a recycled request can never collide with a stale aging
-// or starving entry's stamp on another channel. No locking is needed
-// even in parallel epochs: nextSeq runs only from submit and release
-// only from the epoch drain, both of which stay on the caller's
-// goroutine while the channel workers are quiescent (see epoch.go).
+// or starving entry's stamp on another channel.
 type shared struct {
 	seq  int64
 	free []*Request
@@ -50,9 +47,9 @@ func (sh *shared) release(r *Request) {
 
 // NewRequest returns a Request from the memory system's pool. Pooled
 // requests are recycled automatically once serviced — when their
-// completion event drains at the epoch barrier (or at the end of Step),
-// after OnFinish returns — which keeps steady-state stepping
-// allocation-free; do not retain them afterwards. Requests allocated
+// completion event drains at the epoch barrier, after OnFinish
+// returns — which keeps steady-state stepping allocation-free; do not
+// retain them afterwards. Requests allocated
 // directly with &Request{} keep working and are simply never recycled.
 //
 // Ownership: a pooled request belongs to the caller until Submit

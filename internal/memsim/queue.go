@@ -37,10 +37,7 @@ package memsim
 // seq reset to -1, so stale entries are detected and discarded when
 // they surface.
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // heapEnt is one entry of a request index. key is the ordering key
 // (Arrive or seq); stamp is the request's seq at push time, compared
@@ -343,14 +340,11 @@ func (q *reqQueue) insertReady(r *Request, bank, openRow int) {
 }
 
 // remove takes a picked request out of its bucket and stamps it
-// served, which lazily deletes any aging/starving entries. The stamp
-// is atomic: a pooled request recycles at the epoch barrier and may
-// resubmit to a different channel while this channel's indexes still
-// hold the old pointer, so under parallel epochs the new owner's stamp
-// races with the old owner's stale-entry checks. The value read does
-// not matter for those checks — seqs are never reused, so a recycled
-// request can never equal a stale entry's stamp — but the accesses
-// must be atomic for the race to be benign.
+// served, which lazily deletes any aging/starving entries. A pooled
+// request recycles at the epoch barrier and may resubmit to a
+// different channel while this channel's indexes still hold the old
+// pointer; seqs are global and never reused (pool.go), so the recycled
+// request can never equal a stale entry's stamp.
 func (q *reqQueue) remove(r *Request, bank int) {
 	bk := &q.buckets[bank]
 	bk.remove(r)
@@ -358,7 +352,7 @@ func (q *reqQueue) remove(r *Request, bank int) {
 		q.live[bank>>6] &^= 1 << (bank & 63)
 	}
 	q.readyN--
-	atomic.StoreInt64(&r.seq, -1)
+	r.seq = -1
 }
 
 // earliestFuture returns the arrival time of the next not-yet-arrived
@@ -395,14 +389,12 @@ func (q *reqQueue) starvingPick(now int64) *Request {
 		if !ok {
 			break
 		}
-		// Atomic loads mirror the atomic served-stamp in remove: a
-		// stale entry's request may by now live on another channel.
-		if atomic.LoadInt64(&e.r.seq) == e.stamp {
+		if e.r.seq == e.stamp {
 			q.starving.push(heapEnt{e.r, e.stamp, e.stamp})
 		}
 	}
 	for len(q.starving) > 0 {
-		if e := q.starving[0]; atomic.LoadInt64(&e.r.seq) == e.stamp {
+		if e := q.starving[0]; e.r.seq == e.stamp {
 			return e.r
 		}
 		q.starving.pop()

@@ -53,10 +53,9 @@ func (c Config) Cacheable() bool {
 // configuration in a fixed order and format, independent of how the
 // Config value was built. It is the preimage of CacheKey and is
 // exposed for debugging cache behaviour ("why did these two cells not
-// dedupe?"). Ctx, Progress and Parallel are excluded — they control
-// cancellation, watchdog reporting and execution strategy, never the
-// computed Result — as are the unhashable attachments that Cacheable
-// gates on.
+// dedupe?"). Ctx and Progress are excluded — they control
+// cancellation and watchdog reporting, never the computed Result — as
+// are the unhashable attachments that Cacheable gates on.
 func (c Config) CanonicalString() string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	var b strings.Builder

@@ -2,14 +2,11 @@ package sim
 
 import (
 	"bytes"
-	"os"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/faults"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -69,50 +66,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Cycles != b.Cycles || a.Mitigations != b.Mitigations || !reflect.DeepEqual(a.Mem, b.Mem) {
 		t.Fatalf("runs diverged: %+v vs %+v", a, b)
-	}
-}
-
-// TestParallelSerialIdenticalResults pins the tentpole contract at the
-// system level: a full Hydra run with Parallel set computes a Result
-// that is reflect.DeepEqual to the serial run — every field, including
-// memory stats, tracker counters and storage accounting. It runs on a
-// 4-channel organization so the fan-out has real work to divide, and
-// raises GOMAXPROCS to 2 on unforced single-CPU machines so the worker
-// goroutines actually engage (CI additionally runs it at forced
-// GOMAXPROCS 1, 2 and NumCPU under the race detector).
-func TestParallelSerialIdenticalResults(t *testing.T) {
-	if os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	cfg := testConfig(hotProfile(), TrackHydra)
-	cfg.Mem.Channels = 4
-	serial, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallel = true
-	par, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("parallel run diverged from serial:\nserial:   %+v\nparallel: %+v", serial, par)
-	}
-	if serial.Mitigations == 0 {
-		t.Fatal("hot workload produced no mitigations; equivalence vacuous")
-	}
-}
-
-// TestParallelRejectsChaos pins the documented incompatibility: the
-// fault injector mutates shared state from channel callbacks and is
-// not shard-safe, so Parallel plus a Chaos scenario must fail loudly
-// at construction instead of racing.
-func TestParallelRejectsChaos(t *testing.T) {
-	cfg := testConfig(hotProfile(), TrackHydra)
-	cfg.Parallel = true
-	cfg.Chaos = &faults.Scenario{Name: "drop", DropRefreshProb: 0.5}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("Parallel + Chaos accepted; want a construction error")
 	}
 }
 

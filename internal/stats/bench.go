@@ -133,8 +133,9 @@ type BenchDelta struct {
 	Name      string
 	Baseline  BenchResult // zero value when New
 	Current   BenchResult
-	Ratio     float64 // current ns/op over baseline ns/op (0 when New)
+	Ratio     float64 // current ns/op over baseline ns/op (0 when New or Removed)
 	New       bool    // present in current but absent from the baseline
+	Removed   bool    // present in the baseline but absent from current
 	Regressed bool
 	Reason    string
 }
@@ -158,20 +159,30 @@ func allocSlack(base int64) int64 {
 // under 1000 allocs/op, where counts are deterministic). A benchmark
 // present in the current run but absent from the baseline is reported
 // as New and never regresses — newly added benchmarks must not force a
-// hand-edited baseline. Benchmarks only in the baseline are skipped:
-// the gate compares what both runs measured.
+// hand-edited baseline. A benchmark only in the baseline is reported
+// as Removed and never regresses either, so a deleted or renamed
+// benchmark is listed rather than silently dropped from the gate.
 func CompareBench(baseline, current map[string]BenchResult, tolerance float64) []BenchDelta {
-	names := make([]string, 0, len(current))
+	names := make([]string, 0, len(current)+len(baseline))
 	for name := range current {
 		names = append(names, name)
+	}
+	for name := range baseline {
+		if _, ok := current[name]; !ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	deltas := make([]BenchDelta, 0, len(names))
 	for _, name := range names {
-		cur := current[name]
+		cur, inCur := current[name]
 		base, inBase := baseline[name]
 		if !inBase {
 			deltas = append(deltas, BenchDelta{Name: name, Current: cur, New: true})
+			continue
+		}
+		if !inCur {
+			deltas = append(deltas, BenchDelta{Name: name, Baseline: base, Removed: true})
 			continue
 		}
 		d := BenchDelta{Name: name, Baseline: base, Current: cur}

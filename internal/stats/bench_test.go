@@ -64,22 +64,25 @@ func TestCompareBench(t *testing.T) {
 		"BenchmarkOnlyInCur": {NsPerOp: 5},
 	}
 	deltas := CompareBench(base, cur, 0.25)
-	if len(deltas) != 6 {
-		t.Fatalf("compared %d benchmarks, want 6 (current side, incl. new): %+v", len(deltas), deltas)
+	if len(deltas) != 7 {
+		t.Fatalf("compared %d benchmarks, want 7 (both sides, incl. new and removed): %+v", len(deltas), deltas)
 	}
 	byName := map[string]BenchDelta{}
 	for _, d := range deltas {
 		byName[d.Name] = d
 	}
-	if _, ok := byName["BenchmarkOnlyInBase"]; ok {
-		t.Fatalf("baseline-only benchmark should be skipped: %+v", byName["BenchmarkOnlyInBase"])
+	if d := byName["BenchmarkOnlyInBase"]; !d.Removed || d.New || d.Regressed || d.Baseline.NsPerOp != 5 {
+		t.Fatalf("baseline-only benchmark must be Removed, carry its baseline, and never regress: %+v", d)
 	}
-	if d := byName["BenchmarkOnlyInCur"]; !d.New || d.Regressed {
+	if d := byName["BenchmarkOnlyInCur"]; !d.New || d.Removed || d.Regressed {
 		t.Fatalf("current-only benchmark must be New and never regressed: %+v", d)
 	}
 	for _, d := range deltas {
 		if d.New && d.Name != "BenchmarkOnlyInCur" {
 			t.Fatalf("benchmark %s wrongly marked New", d.Name)
+		}
+		if d.Removed && d.Name != "BenchmarkOnlyInBase" {
+			t.Fatalf("benchmark %s wrongly marked Removed", d.Name)
 		}
 	}
 	if d := byName["BenchmarkA"]; d.Regressed {
