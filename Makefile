@@ -35,8 +35,8 @@ test:
 # full test suite under the race detector (the campaign harness is
 # concurrent), plus a single-iteration pass over every benchmark so a
 # broken benchmark cannot sit undetected until someone runs the perf
-# gate, plus the docs-lint keeping docs/TRACKERS.md and
-# docs/METRICS.md in sync with the code.
+# gate, plus the docs-lint keeping docs/TRACKERS.md, docs/METRICS.md
+# and docs/ARCHITECTURE.md's package map in sync with the code.
 # The suite includes the quick tier of every property-test machine
 # (internal/proptest; catalog in docs/TESTING.md) — set TEST_INTENSITY
 # or use `make soak` for the thorough tier. The explicit -timeout
@@ -65,9 +65,10 @@ soak:
 	TEST_INTENSITY=thorough $(GO) test -race -timeout 30m ./...
 
 # docs-lint fails if any exported rh.Tracker implementation in
-# internal/track is not mentioned in docs/TRACKERS.md, or if the
-# metric catalog in docs/METRICS.md drifts from the registered names;
-# one run reports both checks' failures.
+# internal/track is not mentioned in docs/TRACKERS.md, if the metric
+# catalog in docs/METRICS.md drifts from the registered names, or if
+# the package map in docs/ARCHITECTURE.md drifts from internal/; one
+# run reports every check's failures.
 docs-lint:
 	$(GO) run ./cmd/doclint
 
@@ -79,8 +80,10 @@ bench:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./... > /dev/null
 
-# bench-baseline snapshots current benchmark results into $(BASELINE).
-# Pass PREV=<old bench text output> to record the prior numbers and
+# bench-baseline snapshots current benchmark results into a new
+# baseline: pass BASELINE=BENCH_<N+1>.json. The default BASELINE is the
+# newest committed file, which benchgate refuses to overwrite. Pass
+# PREV=<old bench text output> to record the prior numbers and
 # per-benchmark speedups in the artifact. -p 1 runs the per-package
 # test binaries serially: benchmarks must not time themselves while
 # another package's benchmarks compete for the CPU.

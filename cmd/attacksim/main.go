@@ -19,8 +19,8 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/exp"
 	"repro/internal/obsv"
 	"repro/internal/rh"
 	"repro/internal/sim"
@@ -32,7 +32,7 @@ func main() { cli.Main("attacksim", run) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("attacksim", flag.ContinueOnError)
-	trackerName := fs.String("tracker", "all", "hydra|graphene|ocpr|para|twice|cat|prohit|mrloc|start|mint|dapper|all")
+	trackerName := fs.String("tracker", "all", "hydra|graphene|cra|ocpr|para|twice|cat|prohit|mrloc|start|start-budget|mint|dapper|all")
 	trh := fs.Int("trh", 500, "row-hammer threshold")
 	acts := fs.Int("acts", 2_000_000, "demand activations per window")
 	windows := fs.Int("windows", 2, "tracking windows (reset between)")
@@ -96,7 +96,7 @@ func run(ctx context.Context, args []string) error {
 			if err := ctx.Err(); err != nil {
 				return err // interrupted between patterns
 			}
-			tr, err := makeTracker(name, geom, *trh)
+			tr, err := exp.ArenaFuncTracker(name, geom, *trh, 7)
 			if err != nil {
 				return cli.Usagef("%v", err)
 			}
@@ -112,37 +112,6 @@ func run(ctx context.Context, args []string) error {
 		fmt.Println("undersized trackers; Hydra must always report SAFE.")
 	}
 	return stopProfiles()
-}
-
-func makeTracker(name string, geom track.Geometry, trh int) (rh.Tracker, error) {
-	switch name {
-	case "hydra":
-		cfg := core.ForThreshold(trh)
-		cfg.Rows = geom.Rows
-		return core.New(cfg, rh.NullSink{})
-	case "graphene":
-		return track.NewGraphene(geom, trh)
-	case "ocpr":
-		return track.NewOCPR(geom, trh)
-	case "para":
-		return track.NewPARA(trh, 1e-9, 7)
-	case "twice":
-		return track.NewTWiCE(geom, trh, 0)
-	case "cat":
-		return track.NewCAT(geom, trh, 0)
-	case "prohit":
-		return track.NewProHIT(geom, 1.0/16, 7)
-	case "mrloc":
-		return track.NewMRLoC(geom, 7)
-	case "start":
-		return track.NewSTART(geom, trh, 0)
-	case "mint":
-		return track.NewMINT(geom, trh, 0, 7)
-	case "dapper":
-		return track.NewDAPPER(geom, trh)
-	default:
-		return nil, fmt.Errorf("unknown tracker %q", name)
-	}
 }
 
 // runFullSystem drives a double-sided attack through the timing

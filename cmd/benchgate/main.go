@@ -2,9 +2,10 @@
 // performance baseline and gates later runs against it.
 //
 // Write a baseline (optionally recording the measurements it replaced,
-// so the artifact shows the speedup the change delivered):
+// so the artifact shows the speedup the change delivered). Baselines
+// are append-only: -out must name a file that does not exist yet.
 //
-//	go test -bench . -benchmem ./... | benchgate -write -out BENCH_4.json [-prev old-bench.txt]
+//	go test -bench . -benchmem ./... | benchgate -write -out BENCH_11.json [-prev old-bench.txt]
 //
 // Gate a run against the baseline (non-zero exit on regression):
 //
@@ -33,7 +34,7 @@ import (
 func main() {
 	var (
 		write     = flag.Bool("write", false, "write a new baseline from stdin")
-		out       = flag.String("out", "BENCH_5.json", "baseline file to write")
+		out       = flag.String("out", "", "new baseline file to write (required with -write; never overwritten)")
 		prev      = flag.String("prev", "", "prior go-test bench output to record as 'previous' (write mode)")
 		compare   = flag.String("compare", "", "baseline file to gate stdin against")
 		tolerance = flag.Float64("tolerance", 0.40, "allowed fractional time regression (compare mode)")
@@ -49,6 +50,9 @@ func main() {
 func run(write bool, out, prev, compare string, tolerance float64, allowEnv bool) error {
 	if write == (compare != "") {
 		return fmt.Errorf("exactly one of -write or -compare is required")
+	}
+	if write && out == "" {
+		return fmt.Errorf("-write requires -out")
 	}
 	current, err := stats.ParseBench(os.Stdin)
 	if err != nil {

@@ -1,5 +1,5 @@
-// Command doclint keeps the repository's two documentation catalogs in
-// sync with the code. It runs both checks and reports every failure in
+// Command doclint keeps the repository's documentation catalogs in
+// sync with the code. It runs three checks and reports every failure in
 // one run:
 //
 //   - trackers: every exported rh.Tracker implementation in
@@ -11,6 +11,10 @@
 //     the catalog's tables must still be registered somewhere — stale
 //     doc entries fail too, because the catalog promises names are
 //     append-only and downstream dashboards key on them.
+//   - packages: every directory directly under internal/ that holds
+//     non-test Go files must be named as `internal/<name>` in
+//     docs/ARCHITECTURE.md, and every `internal/<name>` named there
+//     must be such a package.
 //
 // Metric registration sites are found by scanning non-test Go sources
 // for the literal call shapes the codebase uses:
@@ -27,7 +31,7 @@
 //
 //	doclint [-root DIR]
 //
-// Exit codes: 0 both catalogs in sync, 1 missing/stale entries or I/O
+// Exit codes: 0 every check in sync, 1 missing/stale entries or I/O
 // failure, 2 usage error.
 package main
 
@@ -57,16 +61,19 @@ var (
 	// docNameRe matches a dotted metric name in the first column of a
 	// markdown table row.
 	docNameRe = regexp.MustCompile("^\\|\\s*`([a-z][a-z0-9_]*(?:\\.[a-z0-9_]+)+)`\\s*\\|")
+	// packageRe matches a package named as internal/<name>; a longer
+	// path such as internal/memsim/channel.go names its package.
+	packageRe = regexp.MustCompile(`\binternal/([a-z0-9_]+)`)
 )
 
 func run(_ context.Context, args []string) error {
 	fset := flag.NewFlagSet("doclint", flag.ContinueOnError)
-	root := fset.String("root", ".", "repository root: scanned for Go sources, internal/track and docs/")
+	root := fset.String("root", ".", "repository root: scanned for Go sources, internal/ and docs/")
 	if err := cli.ParseError(fset.Parse(args)); err != nil {
 		return err
 	}
 	var failures []string
-	for _, check := range []func(root string) (string, error){checkTrackers, checkMetrics} {
+	for _, check := range []func(root string) (string, error){checkTrackers, checkMetrics, checkPackages} {
 		summary, err := check(*root)
 		if err != nil {
 			failures = append(failures, err.Error())
@@ -160,21 +167,81 @@ func checkMetrics(root string) (string, error) {
 		}
 	}
 	if len(missing)+len(stale) > 0 {
-		sort.Strings(missing)
-		sort.Strings(stale)
 		var b strings.Builder
-		if len(missing) > 0 {
-			fmt.Fprintf(&b, "%d metric(s) registered but not documented in %s:\n  %s\n",
-				len(missing), docPath, strings.Join(missing, "\n  "))
-		}
-		if len(stale) > 0 {
-			fmt.Fprintf(&b, "%d documented metric(s) no longer registered anywhere:\n  %s\n",
-				len(stale), strings.Join(stale, "\n  "))
-		}
+		listDrift(&b, "metric(s) registered but not documented in "+docPath, missing)
+		listDrift(&b, "documented metric(s) no longer registered anywhere", stale)
 		b.WriteString("metric names are append-only: document new ones, and only retire a doc row with its code")
 		return "", errors.New(b.String())
 	}
 	return fmt.Sprintf("%d metrics registered, all documented in %s", len(registered), docPath), nil
+}
+
+// checkPackages requires docs/ARCHITECTURE.md to name every package
+// directly under internal/, and nothing under internal/ that is not one.
+func checkPackages(root string) (string, error) {
+	internalDir := filepath.Join(root, "internal")
+	docPath := filepath.Join(root, "docs", "ARCHITECTURE.md")
+	doc, err := os.ReadFile(docPath)
+	if err != nil {
+		return "", err
+	}
+	entries, err := os.ReadDir(internalDir)
+	if err != nil {
+		return "", err
+	}
+	pkgs := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(internalDir, e.Name(), "*.go"))
+		if err != nil {
+			return "", err
+		}
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				pkgs[e.Name()] = true
+				break
+			}
+		}
+	}
+	if len(pkgs) == 0 {
+		return "", fmt.Errorf("no Go packages under %s", internalDir)
+	}
+	named := map[string]bool{}
+	for _, m := range packageRe.FindAllStringSubmatch(string(doc), -1) {
+		named[m[1]] = true
+	}
+
+	var missing, stale []string
+	for name := range pkgs {
+		if !named[name] {
+			missing = append(missing, "internal/"+name)
+		}
+	}
+	for name := range named {
+		if !pkgs[name] {
+			stale = append(stale, "internal/"+name)
+		}
+	}
+	if len(missing)+len(stale) > 0 {
+		var b strings.Builder
+		listDrift(&b, "package(s) not named in "+docPath, missing)
+		listDrift(&b, "package(s) named in "+docPath+" that do not exist", stale)
+		b.WriteString("the package map describes the code that is there: name new packages, drop deleted ones")
+		return "", errors.New(b.String())
+	}
+	return fmt.Sprintf("%d internal packages, all named in %s", len(pkgs), docPath), nil
+}
+
+// listDrift appends one failure section, the count and head then the
+// sorted names, when names is not empty.
+func listDrift(b *strings.Builder, head string, names []string) {
+	if len(names) == 0 {
+		return
+	}
+	sort.Strings(names)
+	fmt.Fprintf(b, "%d %s:\n  %s\n", len(names), head, strings.Join(names, "\n  "))
 }
 
 // scanRegistrations walks the tree for non-test Go files and collects

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mitigate"
 	"repro/internal/rh"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/track"
 )
 
 // ExtensionRandomized reproduces footnote 4's claim: the randomized
@@ -139,11 +139,8 @@ func ExtensionRowSwap(o Options) (*RowSwapReport, error) {
 	const hammers = 200000
 	mem := dram.Baseline()
 
-	mk := func() (*core.Tracker, error) {
-		cfg := core.ForThreshold(o.TRH)
-		cfg.Rows = mem.TotalRows()
-		cfg.Seed = o.seed()
-		return core.New(cfg, rh.NullSink{})
+	mk := func() (rh.Tracker, error) {
+		return ArenaFuncTracker("hydra", track.BaselineGeometry(), o.TRH, o.seed())
 	}
 
 	t1, err := mk()

@@ -141,11 +141,6 @@ type Options struct {
 	// worker pool. The campaign does not close the bus — the caller
 	// owns its lifetime (it may span several campaigns of one run).
 	Bus *Bus
-	// ProgressEvery throttles per-cell progress events on the bus
-	// (default 500ms). Progress events sample the cell's Env.Progress
-	// cycle counter; tighter intervals cost one time.Now per ~1k
-	// progress calls.
-	ProgressEvery time.Duration
 }
 
 func (o Options) workers(cells int) int {
@@ -288,7 +283,6 @@ type cellObs struct {
 	cell  Cell
 	bus   *Bus
 	start time.Time
-	every time.Duration
 
 	cycles  atomic.Int64
 	calls   atomic.Int64
@@ -300,6 +294,10 @@ type cellObs struct {
 // reports progress per event-loop iteration, far too hot to timestamp
 // each call.
 const progressSampleStride = 1024
+
+// progressEvery throttles per-cell progress events on the bus: at most
+// one per cell per interval.
+const progressEvery = 500 * time.Millisecond
 
 // observe records a progress report and, on the bus path, publishes a
 // throttled progress event.
@@ -313,7 +311,7 @@ func (o *cellObs) observe(cycle int64) {
 	}
 	now := time.Now()
 	last := o.lastPub.Load()
-	if now.UnixNano()-last < int64(o.every) || !o.lastPub.CompareAndSwap(last, now.UnixNano()) {
+	if now.UnixNano()-last < int64(progressEvery) || !o.lastPub.CompareAndSwap(last, now.UnixNano()) {
 		return
 	}
 	o.bus.Publish(CellEvent{
@@ -356,11 +354,7 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	}
 	var obs *cellObs
 	if opts.Bus != nil || opts.StallTimeout > 0 {
-		every := opts.ProgressEvery
-		if every <= 0 {
-			every = 500 * time.Millisecond
-		}
-		obs = &cellObs{cell: cell, bus: opts.Bus, start: start, every: every}
+		obs = &cellObs{cell: cell, bus: opts.Bus, start: start}
 	}
 	for attempt := 0; attempt <= opts.Retries; attempt++ {
 		if attempt > 0 {

@@ -70,8 +70,10 @@ func lateSegments() map[string]lateSegmentFunc {
 			}
 			return specs, clock
 		},
+		// Idle gap of up to three refresh intervals: a channel that
+		// sat idle applies several missed refreshes in one catch-up.
 		"idle": func(t *proptest.T, mem dram.Config, specs []lateSpec, clock int64) ([]lateSpec, int64) {
-			return specs, clock + int64(proptest.IntRange(100, 5000).Draw(t, "gap"))
+			return specs, clock + int64(proptest.IntRange(100, 3*int(DDR4().TREFI)).Draw(t, "gap"))
 		},
 	}
 }

@@ -1,14 +1,13 @@
 package memsim
 
-// Property-based scheduler equivalence: where differential_test.go
-// replays six fixed fuzz seeds, this machine *generates* adversarial
-// schedules — write bursts that trip the drain hysteresis, hot-row runs
-// against a starving victim, clock gaps landing on refresh boundaries,
-// same-cycle arrival pileups, meta storms past the pressure threshold —
-// together with generated queue-cap configurations, and requires the
-// indexed scheduler on the epoch engine and the linear-scan reference
-// to produce bitwise-identical event logs and statistics. A divergence
-// shrinks to a minimal schedule.
+// Property-based scheduler equivalence: this machine generates
+// adversarial schedules — write bursts that trip the drain hysteresis,
+// hot-row runs against a starving victim, clock gaps landing on refresh
+// boundaries, same-cycle arrival pileups, meta storms past the pressure
+// threshold — together with generated queue-cap configurations, and
+// requires the indexed scheduler on the epoch engine and the
+// linear-scan reference to produce bitwise-identical event logs and
+// statistics. A divergence shrinks to a minimal schedule.
 
 import (
 	"reflect"
@@ -103,8 +102,8 @@ func schedSegments() map[string]segmentFunc {
 			}
 			return specs, clock
 		},
-		// Background mixed traffic with small gaps, the fuzzStream
-		// texture, plus occasional mitigation activates.
+		// Background mixed traffic with small gaps, plus occasional
+		// mitigation activates.
 		"mixed": func(t *proptest.T, mem dram.Config, specs []reqSpec, clock int64) ([]reqSpec, int64) {
 			n := proptest.IntRange(5, 50).Draw(t, "n")
 			kinds := []Kind{ReadReq, ReadReq, ReadReq, WriteReq, MetaRead, MetaWrite, MitigAct}
@@ -209,8 +208,9 @@ func sortStrings(s []string) {
 	}
 }
 
-// TestSchedulerEquivalenceMachine is the generated counterpart of
-// TestDifferentialSchedulerEquivalence.
+// TestSchedulerEquivalenceMachine requires the epoch engine on the
+// baseline's two channels to match the linear reference on generated
+// schedules (docs/TESTING.md).
 func TestSchedulerEquivalenceMachine(t *testing.T) {
 	proptest.Check(t, schedulerEquivProp(false))
 }

@@ -1,25 +1,20 @@
 package memsim
 
-import (
-	"math/rand"
-	"reflect"
-	"testing"
-
-	"repro/internal/dram"
-	"repro/internal/obsv"
-)
+import "repro/internal/obsv"
 
 // This file keeps the original linear-scan scheduler as a reference
-// implementation and checks, over randomized request streams, that the
-// indexed scheduler in channel.go, run by the epoch engine the way a
-// cell runs it, makes the identical sequence of decisions: same service
-// order, same completion and activation times, same statistics. The
-// reference scans every queued request on every decision (the
-// pre-index behavior) and steps one global event at a time, firing
-// callbacks at once, with the scheduler's semantic fixes folded in —
-// lowest-seq starvation rescue, tWR/tWTR write timing, meta writes
-// coalesced through the write queue, clamped refresh stagger — so any
-// divergence isolates the indexing or the epoch barrier's merge.
+// implementation, and driveStream and driveLate, which feed one request
+// schedule to it and to the indexed scheduler in channel.go, run by the
+// epoch engine the way a cell runs it. The scheduler, epoch and
+// late-submit machines (machine_prop_test.go, late_prop_test.go)
+// require both to make the identical sequence of decisions: same
+// service order, same completion and activation times, same
+// statistics. The reference scans every queued request on every
+// decision (the pre-index behavior) and steps one global event at a
+// time, firing callbacks at once, with the scheduler's semantic fixes
+// folded in — lowest-seq starvation rescue, tWR/tWTR write timing, meta
+// writes coalesced through the write queue, clamped refresh stagger —
+// so any divergence isolates the indexing or the epoch barrier's merge.
 
 type linChannel struct {
 	cfg *Config
@@ -574,90 +569,4 @@ func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateS
 	}
 	advance(Infinity)
 	return events
-}
-
-// fuzzStream generates a bursty mixed request stream. Rows are drawn
-// from a small set so row hits, conflicts and starvation all occur;
-// occasional long gaps exercise refresh catch-up.
-func fuzzStream(rng *rand.Rand, mem dram.Config, n int) []reqSpec {
-	specs := make([]reqSpec, 0, n)
-	clock := int64(0)
-	for i := 0; i < n; i++ {
-		switch rng.Intn(10) {
-		case 0:
-			clock += int64(rng.Intn(200))
-		case 1:
-			if rng.Intn(50) == 0 {
-				clock += 30_000 // across a tREFI boundary
-			}
-		default:
-			clock += int64(rng.Intn(6))
-		}
-		var k Kind
-		switch p := rng.Intn(100); {
-		case p < 55:
-			k = ReadReq
-		case p < 70:
-			k = WriteReq
-		case p < 80:
-			k = MetaRead
-		case p < 90:
-			k = MetaWrite
-		default:
-			k = MitigAct
-		}
-		loc := dram.Loc{
-			Channel: rng.Intn(mem.Channels),
-			Rank:    rng.Intn(mem.RanksPerChannel),
-			Bank:    rng.Intn(mem.BanksPerRank),
-			Row:     rng.Intn(6) * 37,
-			Col:     rng.Intn(mem.RowBytes / 64),
-		}
-		specs = append(specs, reqSpec{line: mem.Encode(loc), kind: k, arrive: clock})
-	}
-	return specs
-}
-
-// TestDifferentialSchedulerEquivalence fuzzes request streams through
-// the epoch engine and the linear reference and requires bitwise
-// identical event logs and statistics.
-func TestDifferentialSchedulerEquivalence(t *testing.T) {
-	mem := dram.Baseline()
-	configs := []func() Config{
-		func() Config { return DefaultConfig(mem) },
-		func() Config { // tight queues: refusals and constant draining
-			cfg := DefaultConfig(mem)
-			cfg.ReadQCap = 8
-			cfg.WriteQCap = 12
-			cfg.DrainHi = 8
-			cfg.DrainLo = 2
-			return cfg
-		},
-	}
-	for seed := int64(1); seed <= 6; seed++ {
-		for ci, mkCfg := range configs {
-			specs := fuzzStream(rand.New(rand.NewSource(seed)), mem, 4000)
-
-			cfgA := mkCfg()
-			idx := New(cfgA)
-			got := driveStream(idx, func(h func(uint32, Kind, int64)) { cfgA.OnACT = h; idx.cfg.OnACT = h }, specs)
-
-			cfgB := mkCfg()
-			lin := newLinMemory(cfgB)
-			want := driveStream(lin, func(h func(uint32, Kind, int64)) { cfgB.OnACT = h; lin.cfg.OnACT = h }, specs)
-
-			if len(got) != len(want) {
-				t.Fatalf("seed %d cfg %d: %d events vs %d in reference", seed, ci, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d cfg %d: event %d diverged:\nindexed:   %+v\nreference: %+v",
-						seed, ci, i, got[i], want[i])
-				}
-			}
-			if a, b := idx.Stats(), lin.Stats(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d cfg %d: stats diverged:\nindexed:   %+v\nreference: %+v", seed, ci, a, b)
-			}
-		}
-	}
 }

@@ -9,7 +9,7 @@ import (
 
 // A Registry gathers metrics pulled from simulator components at
 // snapshot time: components keep plain counters on their hot paths and
-// implement Source, so measurement costs nothing until Collect runs.
+// implement Source, so measurement costs nothing until CollectInto runs.
 func ExampleRegistry() {
 	r := obsv.NewRegistry()
 	r.Count("memsim.activates", 12000)

@@ -8,9 +8,9 @@ import (
 // Hist is a fixed-bucket histogram over non-negative int64 samples,
 // cheap enough to sit on a simulator scheduling path: Observe is a
 // handful of compares and three adds, in constant time for the
-// PowersOfTwo layout. Unlike stats.Histogram it is a value type with a
-// stable JSON shape, so memory-controller stats can embed it directly
-// and run reports can carry it.
+// PowersOfTwo layout. It is a value type with a stable JSON shape, so
+// memory-controller stats can embed it directly and run reports can
+// carry it.
 //
 // Bounds are inclusive upper bounds; a final overflow bucket catches
 // samples above the last bound, so len(Counts) == len(Bounds)+1.

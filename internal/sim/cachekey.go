@@ -36,7 +36,11 @@ import (
 // spillover floor; the victim used to be whichever entry Go's map order
 // produced, so a cell whose table filled computed a different result on
 // each run. Also v5: core.ForThreshold rounds the RCC up to whole
-// 16-way sets.
+// 16-way sets. Still v5: eight knobs that every caller left at one
+// value (blast radius, RCC size, PARA's failure probability, START's
+// LLC bytes, MINT's interval, the RIT-ACT switch, write fraction and
+// burst) became constants and left the rendering; every key's preimage
+// changed but no configuration computes anything different.
 const CacheKeyVersion = "hydra-cell/v5"
 
 // Cacheable reports whether a run's outcome is fully determined by the
@@ -65,14 +69,11 @@ func (c Config) CanonicalString() string {
 	fmt.Fprintf(&b, "profile=%q/%q/%s/%d/%d/%s\n",
 		c.Profile.Name, string(c.Profile.Suite), g(c.Profile.MPKI),
 		c.Profile.UniqueRows, c.Profile.Hot250, g(c.Profile.ActsPerRow))
-	fmt.Fprintf(&b, "scale=%s keep=%t cores=%d trh=%d blast=%d seed=%d\n",
-		g(c.Scale), c.KeepStructSize, c.Cores, c.TRH, c.Blast, c.Seed)
-	fmt.Fprintf(&b, "tracker=%q cra=%d gct=%d rcc=%d tg=%d rand=%t para=%s meta=%t\n",
-		string(c.Tracker), c.CRACacheBytes, c.HydraGCTEntries, c.HydraRCCEntries,
-		c.HydraTG, c.HydraRandomize, g(c.PARAFailProb), c.TrackMetaRows)
-	fmt.Fprintf(&b, "startllc=%d mintw=%d\n", c.STARTLLCBytes, c.MINTIntervalActs)
-	fmt.Fprintf(&b, "wfrac=%s burst=%d window=%d policy=%q\n",
-		g(c.WriteFrac), c.Burst, c.WindowCycles, string(c.Mitigation))
+	fmt.Fprintf(&b, "scale=%s keep=%t cores=%d trh=%d seed=%d\n",
+		g(c.Scale), c.KeepStructSize, c.Cores, c.TRH, c.Seed)
+	fmt.Fprintf(&b, "tracker=%q cra=%d gct=%d tg=%d rand=%t\n",
+		string(c.Tracker), c.CRACacheBytes, c.HydraGCTEntries, c.HydraTG, c.HydraRandomize)
+	fmt.Fprintf(&b, "window=%d policy=%q\n", c.WindowCycles, string(c.Mitigation))
 	if c.Attack == nil {
 		b.WriteString("attack=nil\n")
 	} else {

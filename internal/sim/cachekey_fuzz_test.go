@@ -12,7 +12,7 @@ import (
 // space (negative sizes, NaN-free float extremes, empty and long
 // strings, nil versus zero-valued pointers).
 func fuzzConfig(name string, suite string, mpki float64, rows int, scale float64,
-	cores int, trh int, seed uint64, tracker string, gct int, wfrac float64,
+	cores int, trh int, seed uint64, tracker string, gct int, actsPerRow float64,
 	window int64, withAttack bool, acts int, withChaos bool, drop float64) Config {
 	c := keyConfig()
 	c.Profile.Name = name
@@ -25,7 +25,7 @@ func fuzzConfig(name string, suite string, mpki float64, rows int, scale float64
 	c.Seed = seed
 	c.Tracker = TrackerKind(tracker)
 	c.HydraGCTEntries = gct
-	c.WriteFrac = wfrac
+	c.Profile.ActsPerRow = actsPerRow
 	c.WindowCycles = window
 	if withAttack {
 		c.Attack = &AttackSpec{Rows: []uint32{1, 2}, Acts: acts}
@@ -49,13 +49,13 @@ func FuzzCacheKey(f *testing.F) {
 	f.Add("a\nb=c/d\"e", "micro", 1e300, 1<<40, 1e-9, 1000, 1<<30, ^uint64(0), "x y", -1, -0.5, int64(-1), true, -7, true, -0.1)
 	f.Fuzz(func(t *testing.T, name string, suite string, mpki float64, rows int,
 		scale float64, cores int, trh int, seed uint64, tracker string, gct int,
-		wfrac float64, window int64, withAttack bool, acts int, withChaos bool, drop float64) {
-		if mpki != mpki || wfrac != wfrac || scale != scale || drop != drop {
+		actsPerRow float64, window int64, withAttack bool, acts int, withChaos bool, drop float64) {
+		if mpki != mpki || actsPerRow != actsPerRow || scale != scale || drop != drop {
 			t.Skip("NaN never round-trips equal; configs are built from real measurements")
 		}
 		build := func() Config {
 			return fuzzConfig(name, suite, mpki, rows, scale, cores, trh, seed,
-				tracker, gct, wfrac, window, withAttack, acts, withChaos, drop)
+				tracker, gct, actsPerRow, window, withAttack, acts, withChaos, drop)
 		}
 		base, ok := build().CacheKey()
 		if !ok {

@@ -56,20 +56,12 @@ func keyMutations() []keyMutation {
 		{"KeepStructSize", func(c *Config) { swapBool(&c.KeepStructSize) }},
 		{"Cores", func(c *Config) { swapInt(&c.Cores) }},
 		{"TRH", func(c *Config) { swapInt(&c.TRH) }},
-		{"Blast", func(c *Config) { swapInt(&c.Blast) }},
 		{"Seed", func(c *Config) { c.Seed ^= 0x55a }},
 		{"Tracker", func(c *Config) { c.Tracker += "~" }},
 		{"CRACacheBytes", func(c *Config) { swapInt(&c.CRACacheBytes) }},
 		{"HydraGCTEntries", func(c *Config) { swapInt(&c.HydraGCTEntries) }},
-		{"HydraRCCEntries", func(c *Config) { swapInt(&c.HydraRCCEntries) }},
 		{"HydraTG", func(c *Config) { swapInt(&c.HydraTG) }},
 		{"HydraRandomize", func(c *Config) { swapBool(&c.HydraRandomize) }},
-		{"PARAFailProb", func(c *Config) { swapF(&c.PARAFailProb) }},
-		{"STARTLLCBytes", func(c *Config) { swapInt(&c.STARTLLCBytes) }},
-		{"MINTIntervalActs", func(c *Config) { swapInt(&c.MINTIntervalActs) }},
-		{"TrackMetaRows", func(c *Config) { swapBool(&c.TrackMetaRows) }},
-		{"WriteFrac", func(c *Config) { swapF(&c.WriteFrac) }},
-		{"Burst", func(c *Config) { swapInt(&c.Burst) }},
 		{"WindowCycles", func(c *Config) { swapI64(&c.WindowCycles) }},
 		{"Mitigation", func(c *Config) { c.Mitigation += "~" }},
 		{"Attack.nil", func(c *Config) {
@@ -144,7 +136,7 @@ func genKeyConfig(t *proptest.T) Config {
 	c.TRH = proptest.IntRange(1, 5000).Draw(t, "trh")
 	c.Seed = proptest.Uint64().Draw(t, "seed")
 	c.Tracker = TrackerKind([]string{"hydra", "para", "start", ""}[proptest.IntRange(0, 3).Draw(t, "tracker")])
-	c.WriteFrac = float64(proptest.IntRange(0, 4).Draw(t, "wfrac")) / 4
+	c.Profile.ActsPerRow = float64(proptest.IntRange(0, 4).Draw(t, "actsPerRow")) / 4
 	c.WindowCycles = int64(proptest.IntRange(0, 1<<20).Draw(t, "window"))
 	if proptest.Bool().Draw(t, "withAttack") {
 		n := proptest.IntRange(0, 4).Draw(t, "attackRows")
@@ -196,10 +188,10 @@ func TestCacheKeySensitivityMachine(t *testing.T) {
 // TestCacheKeyMutationCatalogCovers pins the catalog against the
 // canonical surface: every line CanonicalString emits must have at
 // least one mutation targeting a field on it, so a new hashed field
-// cannot land without a sensitivity check. (The 29-field reflection pin
+// cannot land without a sensitivity check. (The 21-field reflection pin
 // in cachekey_test.go catches fields added to Config but not hashed.)
 func TestCacheKeyMutationCatalogCovers(t *testing.T) {
-	if n := len(keyMutations()); n < 40 {
+	if n := len(keyMutations()); n < 32 {
 		t.Fatalf("mutation catalog shrank to %d entries; it must cover every CanonicalString field", n)
 	}
 }

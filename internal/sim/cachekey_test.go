@@ -108,20 +108,12 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"KeepStructSize":      func(c *Config) { c.KeepStructSize = !c.KeepStructSize },
 		"Cores":               func(c *Config) { c.Cores++ },
 		"TRH":                 func(c *Config) { c.TRH++ },
-		"Blast":               func(c *Config) { c.Blast++ },
 		"Seed":                func(c *Config) { c.Seed++ },
 		"Tracker":             func(c *Config) { c.Tracker = TrackGraphene },
 		"CRACacheBytes":       func(c *Config) { c.CRACacheBytes *= 2 },
 		"HydraGCTEntries":     func(c *Config) { c.HydraGCTEntries += 128 },
-		"HydraRCCEntries":     func(c *Config) { c.HydraRCCEntries += 128 },
 		"HydraTG":             func(c *Config) { c.HydraTG += 16 },
 		"HydraRandomize":      func(c *Config) { c.HydraRandomize = !c.HydraRandomize },
-		"PARAFailProb":        func(c *Config) { c.PARAFailProb *= 10 },
-		"STARTLLCBytes":       func(c *Config) { c.STARTLLCBytes += 4096 },
-		"MINTIntervalActs":    func(c *Config) { c.MINTIntervalActs += 8 },
-		"TrackMetaRows":       func(c *Config) { c.TrackMetaRows = !c.TrackMetaRows },
-		"WriteFrac":           func(c *Config) { c.WriteFrac += 0.125 },
-		"Burst":               func(c *Config) { c.Burst++ },
 		"WindowCycles":        func(c *Config) { c.WindowCycles += 1000 },
 		"Mitigation":          func(c *Config) { c.Mitigation = MitigateRowSwap },
 		"Attack.set":          func(c *Config) { c.Attack = &AttackSpec{Rows: []uint32{1, 2}, Acts: 100} },
@@ -187,7 +179,7 @@ func TestCacheKeyCoversEveryConfigField(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{reflect.TypeOf(Config{}), 29},
+		{reflect.TypeOf(Config{}), 21},
 		{reflect.TypeOf(AttackSpec{}), 2},
 		{reflect.TypeOf(faults.Scenario{}), 6},
 		{reflect.TypeOf(dram.Config{}), 5},

@@ -61,7 +61,6 @@ type Config struct {
 
 	Cores int
 	TRH   int
-	Blast int
 	Seed  uint64
 
 	Tracker TrackerKind
@@ -70,35 +69,15 @@ type Config struct {
 	// divided across channels as in the paper; here it is the total).
 	CRACacheBytes int
 
-	// HydraGCTEntries / HydraRCCEntries / HydraTG override Hydra's
-	// structure sizes and GCT threshold for the sensitivity studies
-	// (zero keeps the scaled defaults).
+	// HydraGCTEntries / HydraTG override Hydra's GCT size and GCT
+	// threshold for the sensitivity studies (zero keeps the scaled
+	// defaults).
 	HydraGCTEntries int
-	HydraRCCEntries int
 	HydraTG         int
 
 	// HydraRandomize enables the cipher-based randomized row-to-group
 	// mapping of footnote 4, rekeyed every window.
 	HydraRandomize bool
-
-	// PARAFailProb sets PARA's per-row failure probability target.
-	PARAFailProb float64
-
-	// STARTLLCBytes bounds the LLC capacity START borrows for its
-	// pooled tracking table (0 = the guarantee sizing).
-	STARTLLCBytes int
-
-	// MINTIntervalActs sets MINT's selection-interval length W in
-	// activations (0 = the paper's default T_RH/4).
-	MINTIntervalActs int
-
-	// TrackMetaRows enables the RIT-ACT path: activations of reserved
-	// metadata rows route to ActivateMeta (on by default via Default).
-	TrackMetaRows bool
-
-	// WriteFrac and Burst forward to the workload generator.
-	WriteFrac float64
-	Burst     int
 
 	// Attack, when non-nil, replaces core 0 with an attacker thread
 	// hammering the given rows (see AttackSpec).
@@ -153,14 +132,9 @@ func Default(p workload.Profile) Config {
 		Scale:         16,
 		Cores:         8,
 		TRH:           500,
-		Blast:         mitigate.DefaultBlast,
 		Seed:          1,
 		Tracker:       TrackHydra,
 		CRACacheBytes: 64 * 1024,
-		PARAFailProb:  1e-9,
-		TrackMetaRows: true,
-		WriteFrac:     0.25,
-		Burst:         2,
 	}
 }
 
@@ -305,15 +279,6 @@ func New(cfg Config) (*System, error) {
 		maxDemand = cfg.Mem.RowsPerBank - 17
 	}
 
-	scfg := workload.StreamConfig{
-		Mem:          cfg.Mem,
-		MaxDemandRow: maxDemand,
-		Cores:        cfg.Cores,
-		Scale:        cfg.Scale,
-		Burst:        cfg.Burst,
-		WriteFrac:    cfg.WriteFrac,
-		Seed:         cfg.Seed,
-	}
 	if len(cfg.Traces) > 0 {
 		for i, src := range cfg.Traces {
 			c, err := cpu.New(i, cpu.DefaultConfig(), src, demandGate{s})
@@ -323,6 +288,8 @@ func New(cfg Config) (*System, error) {
 			s.cores = append(s.cores, c)
 		}
 	} else {
+		scfg := workload.DefaultStreamConfig(cfg.Mem, maxDemand)
+		scfg.Cores, scfg.Scale, scfg.Seed = cfg.Cores, cfg.Scale, cfg.Seed
 		streams, err := workload.NewStreams(cfg.Profile, scfg)
 		if err != nil {
 			return nil, err
@@ -377,9 +344,6 @@ func (s *System) makeTracker(cfg *Config) error {
 		if cfg.HydraGCTEntries > 0 {
 			hc.GCTEntries = scaleEntries(cfg.HydraGCTEntries, f)
 		}
-		if cfg.HydraRCCEntries > 0 {
-			hc.RCCEntries = scaleEntries(cfg.HydraRCCEntries, f)
-		}
 		if cfg.HydraTG > 0 {
 			hc.TG = cfg.HydraTG
 		}
@@ -427,25 +391,21 @@ func (s *System) makeTracker(cfg *Config) error {
 		s.tracker = t
 		return nil
 	case TrackPARA:
-		fail := cfg.PARAFailProb
-		if fail <= 0 {
-			fail = 1e-9
-		}
-		t, err := track.NewPARA(cfg.TRH, fail, rngstream.Derive(cfg.Seed, "tracker/para"))
+		t, err := track.NewPARA(cfg.TRH, 1e-9, rngstream.Derive(cfg.Seed, "tracker/para"))
 		if err != nil {
 			return err
 		}
 		s.tracker = t
 		return nil
 	case TrackSTART:
-		t, err := track.NewSTART(geom, cfg.TRH, cfg.STARTLLCBytes)
+		t, err := track.NewSTART(geom, cfg.TRH, 0)
 		if err != nil {
 			return err
 		}
 		s.tracker = t
 		return nil
 	case TrackMINT:
-		t, err := track.NewMINT(geom, cfg.TRH, cfg.MINTIntervalActs, rngstream.Derive(cfg.Seed, "tracker/mint"))
+		t, err := track.NewMINT(geom, cfg.TRH, 0, rngstream.Derive(cfg.Seed, "tracker/mint"))
 		if err != nil {
 			return err
 		}
@@ -536,7 +496,7 @@ func (s *System) onACT(row uint32, kind memsim.Kind, at int64) {
 	case MitigateThrottle:
 		s.performThrottle(row, at)
 	default:
-		for _, victim := range s.cfg.Mem.Victims(row, s.cfg.Blast) {
+		for _, victim := range s.cfg.Mem.Victims(row, mitigate.DefaultBlast) {
 			loc := s.cfg.Mem.RowLoc(victim)
 			r := s.mem.NewRequest()
 			r.Line, r.Kind, r.Arrive = s.cfg.Mem.Encode(loc), memsim.MitigAct, at

@@ -243,15 +243,8 @@ func TestTraceReplayMatchesGeneration(t *testing.T) {
 
 	// Record each core's stream into memory and replay.
 	var sources []cpu.TraceSource
-	scfg := workload.StreamConfig{
-		Mem:          cfg.Mem,
-		MaxDemandRow: cfg.Mem.RowsPerBank - 17,
-		Cores:        cfg.Cores,
-		Scale:        cfg.Scale,
-		Burst:        cfg.Burst,
-		WriteFrac:    cfg.WriteFrac,
-		Seed:         cfg.Seed,
-	}
+	scfg := workload.DefaultStreamConfig(cfg.Mem, cfg.Mem.RowsPerBank-17)
+	scfg.Cores, scfg.Scale, scfg.Seed = cfg.Cores, cfg.Scale, cfg.Seed
 	for i := 0; i < cfg.Cores; i++ {
 		sc := scfg
 		sc.CoreID = i

@@ -3,8 +3,10 @@ package stats
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"runtime"
 	"sort"
@@ -207,7 +209,8 @@ func CompareBench(baseline, current map[string]BenchResult, tolerance float64) [
 // WriteBenchFile writes the baseline artifact, stamped with the
 // current environment. When prev is non-empty the file also records
 // those prior measurements and the per-benchmark speedup (prev time
-// over current time).
+// over current time). Baselines are append-only: the file is created
+// exclusively, and an existing path is an error that leaves it intact.
 func WriteBenchFile(path string, current, prev map[string]BenchResult) error {
 	env := CurrentBenchEnv()
 	f := BenchFile{Schema: BenchSchema, Env: &env, Benchmarks: current}
@@ -224,7 +227,18 @@ func WriteBenchFile(path string, current, prev map[string]BenchResult) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	out, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if errors.Is(err, fs.ErrExist) {
+		return fmt.Errorf("stats: baseline %s already exists; baselines are append-only, write a new BENCH_<N>.json", path)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = out.Write(append(data, '\n'))
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadBenchFile reads a baseline artifact written by WriteBenchFile.

@@ -133,6 +133,27 @@ func TestBenchFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteBenchFileNeverOverwrites pins the append-only convention: a
+// second write to an existing baseline fails, names the file, and leaves
+// the first file's content intact.
+func TestWriteBenchFileNeverOverwrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_1.json")
+	if err := WriteBenchFile(path, map[string]BenchResult{"BenchmarkX": {N: 1, NsPerOp: 250}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = WriteBenchFile(path, map[string]BenchResult{"BenchmarkY": {N: 1, NsPerOp: 9}}, nil)
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("second write: err = %v, want an error naming %s", err, path)
+	}
+	if again, _ := os.ReadFile(path); string(again) != string(first) {
+		t.Fatalf("refused write changed the file:\nbefore: %s\nafter:  %s", first, again)
+	}
+}
+
 func TestBenchEnvMismatch(t *testing.T) {
 	self := CurrentBenchEnv()
 	cases := map[string]func(*BenchEnv){

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -86,68 +85,11 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100, 250)
-	for _, v := range []int64{0, 5, 10, 11, 100, 101, 250, 251, 1000} {
-		h.Add(v)
-	}
-	want := []int64{3, 2, 2, 2}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (%s)", i, h.Counts[i], w, h)
-		}
-	}
-	if h.N != 9 || h.Max != 1000 {
-		t.Fatalf("N=%d Max=%d, want 9/1000", h.N, h.Max)
-	}
-	if got := h.CountAbove(250); got != 2 {
-		t.Fatalf("CountAbove(250) = %d, want 2", got)
-	}
-	if got := h.CountAbove(10); got != 6 {
-		t.Fatalf("CountAbove(10) = %d, want 6", got)
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-increasing bounds should panic")
-		}
-	}()
-	NewHistogram(10, 10)
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(100)
-	h.Add(10)
-	h.Add(20)
-	if m := h.Mean(); !almostEqual(m, 15, 1e-12) {
-		t.Fatalf("mean = %v, want 15", m)
-	}
-	empty := NewHistogram(1)
-	if m := empty.Mean(); m != 0 {
-		t.Fatalf("empty mean = %v, want 0", m)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if r := Ratio(1, 2); !almostEqual(r, 0.5, 1e-12) {
 		t.Fatalf("ratio = %v, want 0.5", r)
 	}
 	if r := Ratio(1, 0); r != 0 {
 		t.Fatalf("ratio/0 = %v, want 0", r)
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(10, 100)
-	h.Add(5)
-	h.Add(50)
-	h.Add(500)
-	s := h.String()
-	for _, want := range []string{"[0..10]:1", "[11..100]:1", "[101..]:1"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q, missing %q", s, want)
-		}
 	}
 }

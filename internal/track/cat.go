@@ -100,9 +100,6 @@ func (c *CAT) resetBanks() {
 // Name implements rh.Tracker.
 func (c *CAT) Name() string { return "cat" }
 
-// SplitThreshold returns the per-level split/mitigation threshold.
-func (c *CAT) SplitThreshold() int { return c.splitAt }
-
 // Activate implements rh.Tracker.
 func (c *CAT) Activate(row rh.Row) bool {
 	b := &c.banks[c.geom.bank(row)]

@@ -84,9 +84,6 @@ func (d *DAPPER) Name() string { return "dapper" }
 // Threshold returns the pre-jitter operating threshold, T_RH/2.
 func (d *DAPPER) Threshold() int { return d.threshold }
 
-// JitterMax returns the exclusive bound of the per-row jitter band.
-func (d *DAPPER) JitterMax() int { return d.jitterMax }
-
 // EntriesPerBank returns the table size per bank.
 func (d *DAPPER) EntriesPerBank() int { return d.perBank }
 

@@ -122,14 +122,3 @@ func ByName(name string) (Profile, error) {
 	}
 	return Profile{}, fmt.Errorf("workload: unknown workload %q", name)
 }
-
-// BySuite returns the profiles of one suite, in paper order.
-func BySuite(s Suite) []Profile {
-	var out []Profile
-	for _, p := range Profiles() {
-		if p.Suite == s {
-			out = append(out, p)
-		}
-	}
-	return out
-}
