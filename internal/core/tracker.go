@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/obsv"
@@ -48,7 +49,9 @@ type Tracker struct {
 	sink      rh.MemSink
 	gct       []uint16 // saturating group counters (0..TG)
 	rcc       *cache.SetAssoc
-	rct       rh.CounterTable // per-row counters, the DRAM-resident table
+	rct       rh.CounterTable // per-row counters, the DRAM-resident table, stored XOR fill
+	fill      uint16          // what a cleared RCT entry reads as: T_G with the GCT, else 0
+	inited    []uint16        // bit per GCT group: initialized at least once, so stored XOR fill
 	rctEpoch  []uint32        // per-line epoch for the NoGCT ablation's lazy clear
 	epoch     uint32
 	ritAct    []uint16 // SRAM counters guarding the RCT's own rows
@@ -74,11 +77,19 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 		cfg:       d,
 		sink:      sink,
 		rct:       rh.NewCounterTable(d.Rows),
-		ritAct:    make([]uint16, d.MetaRows()),
 		groupSize: d.GroupSize(),
 	}
+	// One allocation holds the 16-bit SRAM arrays: the RIT-ACT guards
+	// and, with a GCT, its counters and one init bit per group.
+	meta, n := d.MetaRows(), 0
 	if !d.NoGCT {
-		t.gct = make([]uint16, d.GCTEntries)
+		n = d.GCTEntries
+	}
+	buf := make([]uint16, meta+n+(n+15)/16)
+	t.ritAct = buf[:meta:meta]
+	if !d.NoGCT {
+		t.gct, t.inited = buf[meta:meta+n:meta+n], buf[meta+n:]
+		t.fill = uint16(d.TG)
 	}
 	if !d.NoRCC {
 		policy := cache.SRRIP
@@ -193,7 +204,9 @@ func (t *Tracker) Activate(row rh.Row) bool {
 // initGroup switches a saturated row-group to per-row tracking by
 // initializing every RCT entry of the group to T_G (Section 4.4). With
 // the default 128-row groups and 1-byte entries this is exactly two
-// line reads and two line writes.
+// line reads and two line writes. The host table stores every entry
+// XOR fill, so writing T_G to the whole group is a range clear and
+// allocates nothing.
 func (t *Tracker) initGroup(g int) {
 	t.stats.GroupInits++
 	if t.trace != nil {
@@ -204,13 +217,9 @@ func (t *Tracker) initGroup(g int) {
 		t.trace.Emit(obsv.Event{Cycle: at, Kind: obsv.EvGCTSaturate, Aux: int64(g)})
 	}
 	lo := g * t.groupSize
-	hi := lo + t.groupSize
-	if hi > t.cfg.Rows {
-		hi = t.cfg.Rows
-	}
-	for i := lo; i < hi; i++ {
-		t.rct.Set(uint32(i), uint16(t.cfg.TG))
-	}
+	hi := min(lo+t.groupSize, t.cfg.Rows)
+	t.rct.ClearRange(uint32(lo), uint32(hi))
+	t.inited[g/16] |= 1 << (g % 16)
 	firstLine := t.rctLineOffset(uint32(lo))
 	lastLine := t.rctLineOffset(uint32(hi - 1))
 	for line := firstLine; line <= lastLine; line += 64 {
@@ -235,7 +244,7 @@ func (t *Tracker) perRow(idx uint32) bool {
 			count = 0
 			t.stats.Mitigations++
 		}
-		t.rct.Set(idx, count)
+		t.rct.Set(idx, count^t.fill)
 		t.sink.MetaWrite(line)
 		t.stats.MetaWrites++
 		return mitigate
@@ -278,30 +287,27 @@ func (t *Tracker) perRow(idx uint32) bool {
 
 // loadRCT reads the RCT entry honoring the NoGCT ablation's lazy
 // per-window clear (real Hydra never needs to clear the RCT because
-// group initialization overwrites stale counts, Section 4.6).
+// group initialization overwrites stale counts, Section 4.6). Every
+// entry it reads lies in a group initialized this window, since only a
+// saturated group reaches per-row tracking, so its stored value is
+// XOR fill.
 func (t *Tracker) loadRCT(idx uint32) uint16 {
 	if t.cfg.NoGCT {
 		line := int(idx) / t.entriesPerLine()
 		if t.rctEpoch[line] != t.epoch {
 			lo := line * t.entriesPerLine()
-			hi := lo + t.entriesPerLine()
-			if hi > t.cfg.Rows {
-				hi = t.cfg.Rows
-			}
-			for i := lo; i < hi; i++ {
-				t.rct.Set(uint32(i), 0)
-			}
+			t.rct.ClearRange(uint32(lo), uint32(min(lo+t.entriesPerLine(), t.cfg.Rows)))
 			t.rctEpoch[line] = t.epoch
 		}
 	}
-	return t.rct.Get(idx)
+	return t.rct.Get(idx) ^ t.fill
 }
 
 func (t *Tracker) storeRCT(idx uint32, v uint16) {
 	if t.cfg.NoGCT {
 		t.loadRCT(idx) // ensure the line is in the current epoch first
 	}
-	t.rct.Set(idx, v)
+	t.rct.Set(idx, v^t.fill)
 }
 
 // ActivateMeta implements rh.Tracker: activations of the RCT's own
@@ -353,22 +359,35 @@ func (t *Tracker) ResetWindow() {
 // can hide a hot row from mitigation. Counters cached in the SRAM RCC
 // are deliberately untouched: physically, corrupting DRAM does not
 // reach a cached copy until it is evicted and refetched. Returns how
-// many entries were corrupted. Entries are visited in index order; an
-// unallocated RCT page holds only zeros, so skipping it draws rng for
-// exactly the entries a flat table would.
+// many entries were corrupted. Entries are visited in index order and
+// rng is drawn once per nonzero entry, as a flat table would: with a
+// GCT, every row of each group ever initialized (stored XOR fill, so a
+// zero in the host table is a nonzero T_G; no other entry was ever
+// written), and without one the host table's nonzero entries.
 func (t *Tracker) CorruptRCT(frac float64, rng func() float64) int {
 	if frac <= 0 {
 		return 0
 	}
 	n := 0
-	for _, p := range t.rct {
-		if p == nil {
-			continue
-		}
-		for i, v := range p {
-			if v != 0 && rng() < frac {
-				p[i] = 0
+	if t.inited == nil {
+		t.rct.Walk(func(_ uint32, v uint16) uint16 {
+			if rng() < frac {
 				n++
+				return 0
+			}
+			return v
+		})
+		return n
+	}
+	for w, set := range t.inited {
+		for ; set != 0; set &= set - 1 {
+			lo := (w*16 + bits.TrailingZeros16(set)) * t.groupSize
+			hi := min(lo+t.groupSize, t.cfg.Rows)
+			for i := uint32(lo); i < uint32(hi); i++ {
+				if t.rct.Get(i) != t.fill && rng() < frac {
+					t.rct.Set(i, t.fill)
+					n++
+				}
 			}
 		}
 	}

@@ -65,6 +65,32 @@ func TestGroupInitCostsTwoLinesEachWay(t *testing.T) {
 	}
 }
 
+// TestGroupsSaturateIndependently saturates every group in turn: each
+// must initialize at exactly its T_G-th activation, and the RIT-ACT
+// guards must still count from zero. The GCT, the groups' init bits and
+// the guards share one allocation, so an overlap shows here.
+func TestGroupsSaturateIndependently(t *testing.T) {
+	h := MustNew(smallConfig(), rh.NullSink{})
+	tg := h.Config().TG
+	for g := 0; g < 32; g++ {
+		for i := 1; i <= tg; i++ {
+			h.Activate(rh.Row(g*128 + i%128))
+			want := int64(g)
+			if i == tg {
+				want++
+			}
+			if inits := h.Stats().GroupInits; inits != want {
+				t.Fatalf("group %d, activation %d: %d group inits, want %d", g, i, inits, want)
+			}
+		}
+	}
+	for i := 1; i <= h.Config().TH; i++ {
+		if got := h.ActivateMeta(0); got != (i == h.Config().TH) {
+			t.Fatalf("RIT-ACT activation %d: mitigation %v", i, got)
+		}
+	}
+}
+
 func TestPreciseMitigationForSoloRow(t *testing.T) {
 	h := MustNew(smallConfig(), rh.NullSink{})
 	// Best case (Section 4.5): the row shares its group with no other
@@ -282,6 +308,14 @@ func TestNoRCCDoesReadModifyWrite(t *testing.T) {
 	}
 	if h.Stats().RCCHit != 0 {
 		t.Fatal("NoRCC ablation hit the RCC")
+	}
+	// Row 0's entry started at T_G = 40 and the write-back made it 41:
+	// the read-modify-write counts exactly, mitigating at T_H = 50 and
+	// every T_H activations after.
+	for act := 42; act <= 150; act++ {
+		if got, want := h.Activate(rh.Row(0)), act%50 == 0; got != want {
+			t.Fatalf("activation %d: mitigation %v, want %v", act, got, want)
+		}
 	}
 }
 
@@ -508,50 +542,124 @@ func countingRNG(seed uint64) (func() float64, *int) {
 	}, &draws
 }
 
-// TestCorruptRCTMatchesFlatTable pins the paged RCT against the flat
-// table it replaced: on a sparse tracker (few groups initialized, most
-// pages never allocated) CorruptRCT zeroes the same entries with the
-// same number of RNG draws, so chaos runs reproduce bit for bit.
+// rctValue returns RCT entry idx as the DRAM holds it: the host table
+// stores entries XOR fill in every group ever initialized.
+func (t *Tracker) rctValue(idx uint32) uint16 {
+	v := t.rct.Get(idx)
+	if g := int(idx) / t.groupSize; t.inited != nil && t.inited[g/16]&(1<<(g%16)) != 0 {
+		v ^= t.fill
+	}
+	return v
+}
+
+// TestCorruptRCTMatchesFlatTable pins the RCT encoding against the flat
+// table it replaced, for each tracker variant: on a sparse tracker (few
+// groups initialized, most pages never written, one group stale across
+// a window reset) CorruptRCT zeroes the same entries with the same
+// number of RNG draws, so chaos runs reproduce bit for bit. Then, where
+// there is a GCT, it saturates the corrupted groups again in a fresh
+// window: group init must overwrite every row of them with T_G.
 func TestCorruptRCTMatchesFlatTable(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rows = 1 << 20
-	cfg.GCTEntries = cfg.Rows / 128
-	h := MustNew(cfg, rh.NullSink{})
-	// Saturate a few scattered groups and push some of their rows
-	// through RCC evictions, so RCT entries hold both T_G and counts.
-	for _, base := range []rh.Row{5 << 12, 77 << 12, 200<<12 + 300, 255 << 12} {
-		for i := 0; i < 300; i++ {
-			h.Activate(base + rh.Row(i%96))
-		}
-	}
-	flat := make([]uint16, cfg.Rows)
-	for i := range flat {
-		flat[i] = h.rct.Get(uint32(i))
-	}
-	pages := 0
-	for _, p := range h.rct {
-		if p != nil {
-			pages++
-		}
-	}
-	if pages == 0 || pages > 8 {
-		t.Fatalf("%d RCT pages allocated, want a sparse table (1..8 of %d)", pages, len(h.rct))
-	}
-	for _, frac := range []float64{0.3, 1} {
-		rngP, drawsP := countingRNG(42)
-		rngF, drawsF := countingRNG(42)
-		n := h.CorruptRCT(frac, rngP)
-		want := corruptFlat(flat, frac, rngF)
-		if n != want || *drawsP != *drawsF {
-			t.Fatalf("frac %v: paged corrupted %d with %d draws, flat %d with %d", frac, n, *drawsP, want, *drawsF)
-		}
-		for i, v := range flat {
-			if got := h.rct.Get(uint32(i)); got != v {
-				t.Fatalf("frac %v: entry %d = %d after corruption, flat table has %d", frac, i, got, v)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"randomize", func(c *Config) { c.Randomize, c.Seed = true, 3 }},
+		{"norcc", func(c *Config) { c.NoRCC = true }},
+		{"nogct", func(c *Config) { c.NoGCT = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Rows = 1 << 20
+			cfg.GCTEntries = cfg.Rows / 128
+			tc.set(&cfg)
+			h := MustNew(cfg, rh.NullSink{})
+			rowOf := make([]rh.Row, cfg.Rows) // inverts the current window's row-to-index map
+			invert := func() {
+				for r := range rowOf {
+					rowOf[h.index(rh.Row(r))] = rh.Row(r)
+				}
 			}
+			// hammer activates width rows from index base on, 300 times
+			// in all: with a GCT the group saturates, and with the small
+			// RCC many of its rows are evicted, so RCT entries hold both
+			// T_G and counts. 24 rows keep their page sparse, 96 turn it
+			// dense.
+			hammer := func(base, width int) {
+				for i := 0; i < 300; i++ {
+					h.Activate(rowOf[base+i%width])
+				}
+			}
+			invert()
+			hammer(5<<12, 24)
+			hammer(77<<12, 96)
+			h.ResetWindow() // 77<<12 stays stale, initialized last window
+			invert()
+			hammer(5<<12, 24)
+			hammer(200<<12+300, 96)
+			hammer(255<<12, 24)
+			flat := make([]uint16, cfg.Rows)
+			for i := range flat {
+				flat[i] = h.rctValue(uint32(i))
+			}
+			sparse, dense := h.rct.Pages()
+			if sparse == 0 || dense == 0 || sparse+dense > 8 {
+				t.Fatalf("%d sparse and %d dense RCT pages in use, want a sparse table (1..8 of %d, both forms)", sparse, dense, cfg.Rows/rh.CounterPageRows)
+			}
+			for _, frac := range []float64{0.3, 1} {
+				rngP, drawsP := countingRNG(42)
+				rngF, drawsF := countingRNG(42)
+				n := h.CorruptRCT(frac, rngP)
+				want := corruptFlat(flat, frac, rngF)
+				if n != want || *drawsP != *drawsF {
+					t.Fatalf("frac %v: tracker corrupted %d with %d draws, flat %d with %d", frac, n, *drawsP, want, *drawsF)
+				}
+				for i, v := range flat {
+					if got := h.rctValue(uint32(i)); got != v {
+						t.Fatalf("frac %v: entry %d = %d after corruption, flat table has %d", frac, i, got, v)
+					}
+				}
+				if frac == 0.3 && (n == 0 || *drawsP == n) {
+					t.Fatalf("frac 0.3 corrupted %d of %d nonzero entries; want a strict subset", n, *drawsP)
+				}
+			}
+			if cfg.NoGCT {
+				return
+			}
+			h.ResetWindow()
+			invert()
+			tg := h.Config().TG
+			for _, base := range []int{5 << 12, 77 << 12, (200<<12 + 300) / h.groupSize * h.groupSize, 255 << 12} {
+				for i := 0; i < tg; i++ {
+					h.Activate(rowOf[base])
+				}
+				for idx := base; idx < base+h.groupSize; idx++ {
+					if v, est := h.rctValue(uint32(idx)), h.EstimatedCount(rowOf[idx]); int(v) != tg || est != tg {
+						t.Fatalf("index %d after re-saturating its corrupted group: RCT %d, estimate %d, want T_G %d", idx, v, est, tg)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGroupInitAllocatesNoCounterPage pins group init as a range clear:
+// saturating a group in a page of the RCT never written allocates
+// nothing, however many pages it reaches.
+func TestGroupInitAllocatesNoCounterPage(t *testing.T) {
+	h := MustNew(Default(), rh.NullSink{})
+	page := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < h.Config().TG; i++ {
+			h.Activate(rh.Row(page * rh.CounterPageRows))
 		}
-		if frac == 0.3 && (n == 0 || *drawsP == n) {
-			t.Fatalf("frac 0.3 corrupted %d of %d nonzero entries; want a strict subset", n, *drawsP)
-		}
+		page++
+	})
+	if inits := h.Stats().GroupInits; inits != int64(page) {
+		t.Fatalf("%d group inits over %d saturated groups", inits, page)
+	}
+	if sparse, dense := h.rct.Pages(); allocs != 0 || sparse+dense != 0 {
+		t.Fatalf("%v allocations per group init, %d sparse and %d dense RCT pages; want none", allocs, sparse, dense)
 	}
 }

@@ -40,6 +40,20 @@ func BenchmarkCRAActivate(b *testing.B) {
 	}
 }
 
+// BenchmarkCRAActivateSparse measures CRA on the shape of a bench
+// cell's traffic: 4,096 rows, four in each counter page, so every page
+// stays sparse. BenchmarkCRAActivate's stride fills its pages dense.
+func BenchmarkCRAActivateSparse(b *testing.B) {
+	geom := BaselineGeometry()
+	c := MustNewCRA(geom, 500, 64*1024, rh.NullSink{})
+	rows := scatteredRows(geom, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Activate(rows[i%len(rows)])
+	}
+}
+
 // BenchmarkOCPRActivate is the exact-counter lower bound.
 func BenchmarkOCPRActivate(b *testing.B) {
 	o := MustNewOCPR(BaselineGeometry(), 500)

@@ -2,6 +2,7 @@ package track
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rh"
 )
@@ -9,12 +10,15 @@ import (
 // OCPR is the naive One-Counter-Per-Row tracker: a dedicated SRAM
 // counter for every row in the system (paper Section 2.4). It is
 // exact, requires no DRAM traffic, and serves as the storage upper
-// bound in Table 1 and as the oracle tracker in tests.
+// bound in Table 1 and as the oracle tracker in tests. The host keeps
+// the counters flat, 16 bits each (8 MB at the paper's 4 M rows): a
+// counter never exceeds the threshold, and a paged table doubled the
+// cost of an activation.
 type OCPR struct {
 	geom      Geometry
 	trh       int
 	threshold int
-	counts    []uint32
+	counts    []uint16
 
 	// Mitigations counts mitigations issued over the tracker lifetime.
 	Mitigations int64
@@ -22,7 +26,8 @@ type OCPR struct {
 
 var _ rh.Tracker = (*OCPR)(nil)
 
-// NewOCPR creates an OCPR tracker operated at T_RH/2.
+// NewOCPR creates an OCPR tracker operated at T_RH/2, which must fit
+// its 16-bit counters.
 func NewOCPR(geom Geometry, trh int) (*OCPR, error) {
 	if geom.Rows <= 0 {
 		return nil, fmt.Errorf("track: invalid geometry %+v", geom)
@@ -30,11 +35,15 @@ func NewOCPR(geom Geometry, trh int) (*OCPR, error) {
 	if trh <= 1 {
 		return nil, fmt.Errorf("track: TRH must exceed 1, got %d", trh)
 	}
+	threshold := mitigationThreshold(trh)
+	if threshold > math.MaxUint16 {
+		return nil, fmt.Errorf("track: OCPR threshold T_RH/2 = %d overflows its 16-bit counters", threshold)
+	}
 	return &OCPR{
 		geom:      geom,
 		trh:       trh,
-		threshold: mitigationThreshold(trh),
-		counts:    make([]uint32, geom.Rows),
+		threshold: threshold,
+		counts:    make([]uint16, geom.Rows),
 	}, nil
 }
 

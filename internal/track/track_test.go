@@ -1,7 +1,9 @@
 package track
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -138,6 +140,24 @@ func TestOCPRStorageMatchesTable1(t *testing.T) {
 	}
 }
 
+// TestOCPRThresholdFitsCounters pins the 16-bit counter width: the
+// largest threshold that fits mitigates at exactly T_RH/2 activations,
+// and one past it is refused rather than left to wrap.
+func TestOCPRThresholdFitsCounters(t *testing.T) {
+	if _, err := NewOCPR(testGeom(), 2*(math.MaxUint16+1)); err == nil {
+		t.Fatal("NewOCPR accepted T_RH/2 = 65536, past its 16-bit counters")
+	}
+	o := MustNewOCPR(testGeom(), 2*math.MaxUint16+1)
+	for i := 1; i < math.MaxUint16; i++ {
+		if o.Activate(3) {
+			t.Fatalf("mitigation at %d activations, want %d", i, math.MaxUint16)
+		}
+	}
+	if !o.Activate(3) {
+		t.Fatalf("no mitigation at %d activations", math.MaxUint16)
+	}
+}
+
 func TestPARAStatistics(t *testing.T) {
 	p := MustNewPARA(500, 1e-9, 42)
 	// p = 1 - (1e-9)^(1/500) ~ 0.0406
@@ -240,6 +260,41 @@ func TestCRAValidation(t *testing.T) {
 	}
 	if _, err := NewCRA(testGeom(), 100, 0, rh.NullSink{}); err == nil {
 		t.Error("zero-size cache accepted")
+	}
+}
+
+// scatteredRows returns perPage rows at random offsets in every
+// counter page of geom, shuffled: the shape of a bench cell's CRA
+// traffic, which touches a few rows in each of hundreds of pages.
+func scatteredRows(geom Geometry, perPage int) []rh.Row {
+	rng := rand.New(rand.NewSource(9))
+	var rows []rh.Row
+	for base := 0; base < geom.Rows; base += rh.CounterPageRows {
+		for k := 0; k < perPage; k++ {
+			rows = append(rows, rh.Row(base+rng.Intn(rh.CounterPageRows)))
+		}
+	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	return rows
+}
+
+// TestCRACounterStorageFollowsTouchedRows pins CRA's counter storage to
+// the rows it counts: building a CRA and activating four rows in each
+// of the baseline's 1,024 pages stays within 256 KB (its sparse pages
+// are 144 KB of it). Dense pages alone cost 8 KB per page, 8 MB here.
+func TestCRACounterStorageFollowsTouchedRows(t *testing.T) {
+	geom := BaselineGeometry()
+	rows := scatteredRows(geom, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := MustNewCRA(geom, 500, 64*1024, rh.NullSink{})
+	for _, r := range rows {
+		c.Activate(r)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 256 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("a CRA activating %d rows over %d pages allocated %d KB, budget %d KB", len(rows), geom.Rows/rh.CounterPageRows, got>>10, budget>>10)
 	}
 }
 
