@@ -24,8 +24,6 @@
 //	-json FILE        write a machine-readable run report ("-" = stdout)
 //	-trace FILE       write a JSONL event trace (serializes the sweep)
 //	-trace-cap N      event ring capacity (oldest dropped beyond this)
-//	-resume FILE      checkpoint completed sweep cells to FILE and skip
-//	                  them on the next run (schema hydra-checkpoint/v1)
 //	-cell-timeout D   wall-clock budget per sweep cell (0 = unbounded)
 //	-stall-timeout D  kill cells whose simulated-cycle counter stalls
 //	                  this long (0 = no watchdog)
@@ -33,7 +31,8 @@
 //	-chaos a,b        restrict the chaos target to the named scenarios
 //	-cache-dir DIR    persist the content-addressed result cache to DIR
 //	                  (schema hydra-cell-cache/v1) so identical cells
-//	                  replay across invocations
+//	                  replay across invocations; rerunning an
+//	                  interrupted campaign over the same DIR resumes it
 //	-cache-max-bytes N  byte budget for -cache-dir: least-recently-used
 //	                  entries are evicted until the tier fits (0 =
 //	                  unbounded; corrupt entries quarantine regardless)
@@ -56,8 +55,9 @@
 // "cells" section and the remaining cells complete.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 130
-// interrupted (SIGINT/SIGTERM; the checkpoint named by -resume holds
-// every completed cell, so rerunning with the same flags resumes).
+// interrupted (SIGINT/SIGTERM; the directory named by -cache-dir holds
+// every cacheable cell that completed, so rerunning with the same flags
+// simulates only the rest).
 package main
 
 import (
@@ -93,7 +93,6 @@ func run(ctx context.Context, args []string) error {
 	jsonOut := fs.String("json", "", "write a run-report JSON file (\"-\" = stdout)")
 	traceOut := fs.String("trace", "", "write a JSONL event trace (serializes the sweep)")
 	traceCap := fs.Int("trace-cap", 1<<20, "event-trace ring capacity")
-	resume := fs.String("resume", "", "checkpoint file: completed cells are skipped on rerun")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock budget per sweep cell (0 = unbounded)")
 	stallTimeout := fs.Duration("stall-timeout", 0, "kill cells stalled this long (0 = no watchdog)")
 	retries := fs.Int("retries", 0, "retry failed cells with a perturbed seed")
@@ -125,19 +124,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *traceOut != "" {
 		opts.Trace = obsv.NewTracer(*traceCap)
-	}
-	if *resume != "" {
-		cp, err := harness.OpenCheckpoint(*resume)
-		if err != nil {
-			return err
-		}
-		if why := cp.Recovered(); why != "" {
-			fmt.Fprintf(os.Stderr, "[warning: %s]\n", why)
-		}
-		if n := cp.Len(); n > 0 {
-			fmt.Printf("[resuming: %d completed cells in %s]\n", n, *resume)
-		}
-		opts.Checkpoint = cp
 	}
 	if !*noCache {
 		// One cache across every target of this invocation: the shared
@@ -277,10 +263,10 @@ func run(ctx context.Context, args []string) error {
 }
 
 // readCellCosts extracts per-cell wall-clock costs from a prior run
-// report: every cell that actually simulated (cached and restored
-// replays carry no timing signal) contributes its ElapsedSec under its
-// key; across reports the largest observation wins — the conservative
-// prior for longest-first scheduling.
+// report: every cell that actually simulated (cached replays carry no
+// timing signal) contributes its ElapsedSec under its key; across
+// reports the largest observation wins — the conservative prior for
+// longest-first scheduling.
 func readCellCosts(path string) (map[string]time.Duration, error) {
 	f, err := obsv.ReadReportFile(path)
 	if err != nil {
@@ -289,7 +275,7 @@ func readCellCosts(path string) (map[string]time.Duration, error) {
 	costs := map[string]time.Duration{}
 	for _, r := range f.Reports {
 		for _, c := range r.Cells {
-			if c.Status == obsv.CellCached || c.Status == obsv.CellRestored || c.ElapsedSec <= 0 {
+			if c.Status == obsv.CellCached || c.ElapsedSec <= 0 {
 				continue
 			}
 			if d := time.Duration(c.ElapsedSec * float64(time.Second)); d > costs[c.Key] {

@@ -24,7 +24,7 @@ func startProgress(bus *harness.Bus) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var queued, running, ok, failed, cached, restored int
+		var queued, running, ok, failed, cached int
 		var last string // most recent activity, e.g. "key 841 Mcyc"
 		var lastLen int
 		var lastPaint time.Time
@@ -33,17 +33,14 @@ func startProgress(bus *harness.Bus) (stop func()) {
 				return
 			}
 			lastPaint = time.Now()
-			total := queued + cached // restored cells are queued like any other
-			finished := ok + failed + cached + restored
+			total := queued + cached
+			finished := ok + failed + cached
 			line := fmt.Sprintf("[campaign] %d/%d done · %d running", finished, total, running)
 			if failed > 0 {
 				line += fmt.Sprintf(" · %d failed", failed)
 			}
 			if cached > 0 {
 				line += fmt.Sprintf(" · %d cached", cached)
-			}
-			if restored > 0 {
-				line += fmt.Sprintf(" · %d restored", restored)
 			}
 			if last != "" {
 				line += " | " + last
@@ -70,8 +67,6 @@ func startProgress(bus *harness.Bus) (stop func()) {
 				last = fmt.Sprintf("%s retry %d", e.Key, e.Attempt)
 			case harness.EvCached:
 				cached++
-			case harness.EvRestored:
-				restored++ // queued, then settled from the checkpoint without starting
 			case harness.EvDone:
 				ok++
 				running--

@@ -19,9 +19,10 @@ import (
 
 // TestInterruptResumesIdentically is the end-to-end graceful-shutdown
 // check: a real experiments process is interrupted with SIGINT mid-
-// campaign and must exit 130 leaving a valid checkpoint; rerunning the
-// same command must announce the resume and produce a report that is —
-// after normalization — bitwise identical to an uninterrupted run's.
+// campaign and must exit 130 leaving a clean, non-empty cache
+// directory; rerunning the same command must replay from that
+// directory and produce a report that is — after normalization —
+// bitwise identical to an uninterrupted run's.
 func TestInterruptResumesIdentically(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -35,41 +36,44 @@ func TestInterruptResumesIdentically(t *testing.T) {
 
 	// Enough cells that the interrupt lands mid-campaign, few enough
 	// that the uninterrupted reference stays cheap.
-	baseArgs := func(cacheDir, ckpt, report string) []string {
+	baseArgs := func(cacheDir, report string) []string {
 		return []string{
 			"-par", "1", "-scale", "16", "-seed", "1",
 			"-workloads", "parest,bwaves",
-			"-cache-dir", cacheDir, "-resume", ckpt, "-json", report,
+			"-cache-dir", cacheDir, "-json", report,
 			"fig5",
 		}
 	}
 
 	// Reference: one clean, uninterrupted run.
 	refReport := filepath.Join(dir, "ref.json")
-	ref := exec.Command(bin, baseArgs(filepath.Join(dir, "cache-ref"), filepath.Join(dir, "ckpt-ref.json"), refReport)...)
+	ref := exec.Command(bin, baseArgs(filepath.Join(dir, "cache-ref"), refReport)...)
 	if out, err := ref.CombinedOutput(); err != nil {
 		t.Fatalf("reference run: %v\n%s", err, out)
 	}
 
-	// Interrupted run: SIGINT as soon as the first cell has been
-	// checkpointed, so the campaign is provably mid-flight.
+	// Interrupted run: SIGINT as soon as the first cell has landed in
+	// the cache directory, so the campaign is provably mid-flight.
 	cacheDir := filepath.Join(dir, "cache")
-	ckpt := filepath.Join(dir, "ckpt.json")
 	report := filepath.Join(dir, "report.json")
+	entries := func() []string {
+		m, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	var out bytes.Buffer
-	interrupted := exec.Command(bin, baseArgs(cacheDir, ckpt, report)...)
+	interrupted := exec.Command(bin, baseArgs(cacheDir, report)...)
 	interrupted.Stdout, interrupted.Stderr = &out, &out
 	if err := interrupted.Start(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if _, err := os.Stat(ckpt); err == nil {
-			break
-		}
+	for len(entries()) == 0 {
 		if time.Now().After(deadline) {
 			interrupted.Process.Kill() //nolint:errcheck
-			t.Fatalf("no checkpoint after 60s; child output:\n%s", out.String())
+			t.Fatalf("no cache entry after 60s; child output:\n%s", out.String())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -94,26 +98,29 @@ func TestInterruptResumesIdentically(t *testing.T) {
 		t.Errorf("interrupted run left a report file (stat err %v); reports must be all-or-nothing", err)
 	}
 
-	// The surviving checkpoint must be valid and non-empty.
-	cp, err := harness.OpenCheckpoint(ckpt)
+	// The surviving cache must reopen clean and non-empty.
+	cache, err := harness.NewCellCache(cacheDir)
 	if err != nil {
-		t.Fatalf("checkpoint after SIGINT: %v", err)
+		t.Fatalf("cache after SIGINT: %v", err)
 	}
-	if why := cp.Recovered(); why != "" {
-		t.Fatalf("checkpoint after SIGINT was corrupt: %s", why)
+	if s := cache.Stats(); s.CorruptDropped != 0 || s.Quarantined != 0 {
+		t.Fatalf("cache after SIGINT held corrupt entries: %+v", s)
 	}
-	if cp.Len() == 0 {
-		t.Fatal("checkpoint after SIGINT holds no cells")
+	if len(entries()) == 0 {
+		t.Fatal("cache after SIGINT holds no cells")
 	}
 
-	// Resume: same command, must pick up the checkpoint and finish.
-	resume := exec.Command(bin, baseArgs(cacheDir, ckpt, report)...)
-	resumeOut, err := resume.CombinedOutput()
-	if err != nil {
+	// Resume: same command, must replay from the cache and finish.
+	resume := exec.Command(bin, baseArgs(cacheDir, report)...)
+	if resumeOut, err := resume.CombinedOutput(); err != nil {
 		t.Fatalf("resume run: %v\n%s", err, resumeOut)
 	}
-	if !strings.Contains(string(resumeOut), "[resuming:") {
-		t.Errorf("resume run did not announce the checkpoint; output:\n%s", resumeOut)
+	f, err := obsv.ReadReportFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := f.Reports[0].Metrics["cache.disk_hits"].Value; hits < 1 {
+		t.Errorf("resume run replayed %v cells from the cache directory, want at least 1", hits)
 	}
 
 	// The resumed report must match the uninterrupted reference exactly

@@ -9,15 +9,15 @@
 // error (bad flags, missing arguments, unknown targets), 130 when the
 // run was interrupted (SIGINT/SIGTERM — 128+SIGINT, the shell
 // convention). The run function returns errors instead of calling
-// os.Exit, which keeps its defers (profile flushing, file closing,
-// checkpoint flushing) working — exactly what a graceful shutdown
-// needs.
+// os.Exit, which keeps its defers (profile flushing, file closing)
+// working — exactly what a graceful shutdown needs.
 //
 // The context Main passes to run is cancelled on the first SIGINT or
 // SIGTERM; run bodies thread it into their campaign so in-flight cells
-// stop, the final checkpoint flushes, and telemetry drains. A second
-// signal restores the default handler's immediate kill, so a wedged
-// shutdown can still be interrupted from the keyboard.
+// stop and telemetry drains (finished cells already sit in the result
+// cache's directory, if it has one). A second signal restores the
+// default handler's immediate kill, so a wedged shutdown can still be
+// interrupted from the keyboard.
 package cli
 
 import (

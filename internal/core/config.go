@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -126,6 +127,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: TRH must exceed 1, got %d", d.TRH)
 	case d.TH <= 0 || d.TH > d.TRH/2:
 		return fmt.Errorf("core: TH must be in (0, TRH/2=%d], got %d", d.TRH/2, d.TH)
+	case d.TH > math.MaxUint16:
+		// The GCT, RCT and RIT-ACT counters are 16 bits wide.
+		return fmt.Errorf("core: TH %d overflows the 16-bit counters", d.TH)
 	case d.TG <= 0 || d.TG >= d.TH:
 		return fmt.Errorf("core: TG must be in (0, TH=%d), got %d", d.TH, d.TG)
 	case !d.NoGCT && d.GCTEntries <= 0:

@@ -76,6 +76,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero rows", mk(func(c *Config) { c.Rows = 0 })},
 		{"tiny TRH", mk(func(c *Config) { c.TRH = 1 })},
 		{"TH above TRH/2", mk(func(c *Config) { c.TH = 251 })},
+		{"TH past 16-bit counters", mk(func(c *Config) { c.TRH = 1 << 17; c.TH = 1 << 16 })},
 		{"TG >= TH", mk(func(c *Config) { c.TG = 250 })},
 		{"no GCT entries", mk(func(c *Config) { c.GCTEntries = 0 })},
 		{"bad RCC ways", mk(func(c *Config) { c.RCCWays = 3 })},

@@ -57,6 +57,7 @@ type Tracker struct {
 	ritAct    []uint16 // SRAM counters guarding the RCT's own rows
 	cipher    *rowCipher
 	groupSize int
+	lineRows  int // rows whose RCT entries share a 64-byte line
 	stats     Stats
 
 	// Event tracing (AttachTracer); nil when disabled.
@@ -78,6 +79,7 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 		sink:      sink,
 		rct:       rh.NewCounterTable(d.Rows),
 		groupSize: d.GroupSize(),
+		lineRows:  64 / d.RCTEntryBytes(),
 	}
 	// One allocation holds the 16-bit SRAM arrays: the RIT-ACT guards
 	// and, with a GCT, its counters and one init bit per group.
@@ -103,7 +105,7 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 		t.rcc = rcc
 	}
 	if d.NoGCT {
-		t.rctEpoch = make([]uint32, d.Rows/t.entriesPerLine()+1)
+		t.rctEpoch = make([]uint32, d.Rows/t.lineRows+1)
 		t.epoch = 1
 	}
 	if d.Randomize {
@@ -159,14 +161,10 @@ func (t *Tracker) SRAMBytes() int { return t.cfg.Storage().TotalBytes }
 // MetaRows implements rh.Tracker.
 func (t *Tracker) MetaRows() int { return t.cfg.MetaRows() }
 
-func (t *Tracker) entriesPerLine() int {
-	return 64 / t.cfg.RCTEntryBytes()
-}
-
 // rctLineOffset returns the byte offset (64-byte aligned) of the RCT
 // line holding the counter of permuted row index idx.
 func (t *Tracker) rctLineOffset(idx uint32) uint64 {
-	return uint64(idx) / uint64(t.entriesPerLine()) * 64
+	return uint64(idx) / uint64(t.lineRows) * 64
 }
 
 // index applies the (optionally randomized) row-to-index mapping used
@@ -293,10 +291,10 @@ func (t *Tracker) perRow(idx uint32) bool {
 // XOR fill.
 func (t *Tracker) loadRCT(idx uint32) uint16 {
 	if t.cfg.NoGCT {
-		line := int(idx) / t.entriesPerLine()
+		line := int(idx) / t.lineRows
 		if t.rctEpoch[line] != t.epoch {
-			lo := line * t.entriesPerLine()
-			t.rct.ClearRange(uint32(lo), uint32(min(lo+t.entriesPerLine(), t.cfg.Rows)))
+			lo := line * t.lineRows
+			t.rct.ClearRange(uint32(lo), uint32(min(lo+t.lineRows, t.cfg.Rows)))
 			t.rctEpoch[line] = t.epoch
 		}
 	}

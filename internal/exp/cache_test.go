@@ -1,13 +1,14 @@
 package exp
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obsv"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func newCache(t *testing.T, dir string) *harness.CellCache {
@@ -138,22 +139,26 @@ func TestCacheDedupAcrossFigures(t *testing.T) {
 // TestPerfReportMarksBaselineMissing pins the satellite contract: a
 // scheme cell that simulated fine but lost its baseline is marked
 // baseline-missing — distinct from failed — and excluded from Norm.
-// The baseline loss is induced end to end by poisoning a checkpoint
-// with a zero-cycle baseline result for one workload: the restore
-// succeeds, then the zero-cycle filter fails that baseline cell.
+// The baseline loss is induced end to end by poisoning the result
+// cache with a zero-cycle baseline result under that cell's content
+// hash: the replay succeeds, then the zero-cycle filter fails that
+// baseline cell.
 func TestPerfReportMarksBaselineMissing(t *testing.T) {
 	o := fastOptions()
 	o.Workloads = []string{"parest", "GUPS"}
 	o.Target = "bm"
-	cp, err := harness.OpenCheckpoint(filepath.Join(t.TempDir(), "cp.json"))
+	o.Cache = newCache(t, "")
+	parest, err := workload.ByName("parest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp.Decode = DecodeResult
-	if err := cp.Store("bm/baseline/parest", sim.Result{Cycles: 0}); err != nil {
+	hash, _ := cellIdentity(o.withDefaults(), parest, baselineVariant)
+	if hash == "" {
+		t.Fatal("baseline cell has no content hash")
+	}
+	if err := o.Cache.Store(hash, "bm/baseline/parest", sim.Result{Cycles: 0}, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	o.Checkpoint = cp
 
 	rep, err := Sweep(o, "baseline-missing probe", []Variant{
 		{Name: "hydra", Mutate: func(c *sim.Config) { c.Tracker = sim.TrackHydra }},

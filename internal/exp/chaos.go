@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -107,15 +106,6 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 	if o.Target == "" {
 		o.Target = "chaos"
 	}
-	if o.Checkpoint != nil && o.Checkpoint.Decode == nil {
-		o.Checkpoint.Decode = func(key string, raw json.RawMessage) (any, error) {
-			var row ChaosRow
-			if err := json.Unmarshal(raw, &row); err != nil {
-				return nil, err
-			}
-			return row, nil
-		}
-	}
 
 	var scenarios []faults.Scenario
 	if len(names) == 0 {
@@ -194,7 +184,6 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 		CellTimeout:  o.CellTimeout,
 		StallTimeout: o.StallTimeout,
 		Retries:      o.Retries,
-		Checkpoint:   o.Checkpoint,
 	})
 	if err != nil {
 		return nil, err
@@ -213,11 +202,7 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 			st.Status = obsv.CellFailed
 			st.Error = r.Err.Error()
 		default:
-			if r.Restored {
-				st.Status = obsv.CellRestored
-			} else {
-				st.Status = obsv.CellOK
-			}
+			st.Status = obsv.CellOK
 			row, ok := r.Value.(ChaosRow)
 			if !ok {
 				st.Status = obsv.CellFailed

@@ -5,7 +5,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -14,11 +13,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// crashCampaign runs one small cached+checkpointed Figure-5 campaign
-// with all storage IO routed through fsys, writes its report through
-// fsys too, and returns the normalized report encoding. Parallelism is
-// 1 so the IO-operation sequence is reproducible across runs — the
-// requirement for a crash-index sweep to be meaningful.
+// crashCampaign runs one small disk-cached Figure-5 campaign with all
+// storage IO routed through fsys, writes its report through fsys too,
+// and returns the normalized report encoding. Parallelism is 1 so the
+// IO-operation sequence is reproducible across runs — the requirement
+// for a crash-index sweep to be meaningful.
 func crashCampaign(t *testing.T, fsys iofault.FS, dir string, ctx context.Context, workloads []string) ([]byte, error) {
 	t.Helper()
 	cache, err := harness.NewCellCacheFS(filepath.Join(dir, "cache"), fsys)
@@ -26,18 +25,12 @@ func crashCampaign(t *testing.T, fsys iofault.FS, dir string, ctx context.Contex
 		return nil, err
 	}
 	cache.Decode = DecodeResult
-	cp, err := harness.OpenCheckpointFS(filepath.Join(dir, "ckpt.json"), fsys)
-	if err != nil {
-		return nil, err
-	}
-	cp.Decode = DecodeResult
 	o := Options{
 		Scale:       64,
 		Workloads:   workloads,
 		Parallelism: 1,
 		Target:      "fig5",
 		Cache:       cache,
-		Checkpoint:  cp,
 		Ctx:         ctx,
 	}
 	rep, err := Figure5(o)
@@ -57,8 +50,8 @@ func crashCampaign(t *testing.T, fsys iofault.FS, dir string, ctx context.Contex
 }
 
 // TestCrashPointSweep kills the storage plane at every IO operation of
-// a cached+checkpointed campaign, then restarts over the surviving
-// on-disk state and requires the resumed run's report to be bitwise
+// a disk-cached campaign, then restarts over the surviving cache
+// directory and requires the resumed run's report to be bitwise
 // identical to an uninterrupted run's. No crash index may corrupt a
 // result undetected: a torn entry must land in quarantine and
 // re-simulate, never decode into the report.
@@ -115,9 +108,8 @@ func TestCrashPointSweep(t *testing.T) {
 // TestCrashAfterDroppedSyncsQuarantines drops every sync (so nothing
 // is durable) and then crashes, leaving visible-but-torn files behind
 // — the scenario fsync discipline exists for. The restarted campaign
-// must detect every torn artifact (cache entries quarantine with a
-// counter, a torn checkpoint moves to .corrupt) and still reproduce
-// the reference report exactly.
+// must detect every torn cache entry (it moves to quarantine with a
+// counter) and still reproduce the reference report exactly.
 func TestCrashAfterDroppedSyncsQuarantines(t *testing.T) {
 	workloads := []string{"parest"}
 	ctx := context.Background()
@@ -158,14 +150,9 @@ func TestCrashAfterDroppedSyncsQuarantines(t *testing.T) {
 			t.Fatalf("crash at op %d: reopening cache: %v", i, err)
 		}
 		cache.Decode = DecodeResult
-		cp, err := harness.OpenCheckpointFS(filepath.Join(dir, "ckpt.json"), iofault.OS{})
-		if err != nil {
-			t.Fatalf("crash at op %d: reopening checkpoint: %v", i, err)
-		}
-		cp.Decode = DecodeResult
 		o := Options{
 			Scale: 64, Workloads: workloads, Parallelism: 1,
-			Target: "fig5", Cache: cache, Checkpoint: cp,
+			Target: "fig5", Cache: cache,
 		}
 		rep, err := Figure5(o)
 		if err != nil {
@@ -191,9 +178,6 @@ func TestCrashAfterDroppedSyncsQuarantines(t *testing.T) {
 				t.Fatalf("crash at op %d: %d files in quarantine but counter says %d",
 					i, len(ents), q)
 			}
-		}
-		if cp.Recovered() != "" && !strings.Contains(cp.Recovered(), ".corrupt") {
-			t.Fatalf("crash at op %d: odd recovery message %q", i, cp.Recovered())
 		}
 	}
 	testutil.Logf(t, "swept %d drop-sync crash points (stride %d), quarantine exercised: %v",

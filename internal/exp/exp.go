@@ -48,7 +48,7 @@ type Options struct {
 	Trace *obsv.Tracer
 
 	// Target names the experiment target; it prefixes every campaign
-	// cell key ("target/variant/workload") so checkpoints and run
+	// cell key ("target/variant/workload") so cell events and run
 	// reports from different targets never collide. Default "sweep".
 	Target string
 	// CellTimeout bounds each sweep cell's wall-clock time; 0 leaves
@@ -60,15 +60,13 @@ type Options struct {
 	// Retries re-runs failed cells up to this many extra times with a
 	// perturbed seed (see harness.Env.Attempt).
 	Retries int
-	// Checkpoint, when non-nil, restores previously completed cells and
-	// records new ones, enabling -resume across interrupted campaigns.
-	Checkpoint *harness.Checkpoint
 	// Cache, when non-nil, memoizes cell results by content-addressed
 	// config hash (sim.Config.CacheKey): identical cells across targets
 	// of one process — e.g. the non-secure baseline every figure
 	// re-simulates — run once and replay everywhere else, and with a
-	// disk-backed cache across invocations too. The recorded per-cell
-	// wall-clock also drives longest-first campaign scheduling.
+	// disk-backed cache across invocations too, which is how an
+	// interrupted campaign resumes. The recorded per-cell wall-clock
+	// also drives longest-first campaign scheduling.
 	Cache *harness.CellCache
 	// Bus, when non-nil, receives a hydra-cell-event/v1 CellEvent for
 	// every cell lifecycle transition, tagged with scheme, workload and
@@ -85,8 +83,8 @@ type Options struct {
 	// in-flight cells at their next progress poll and fails the sweep
 	// with the cancellation cause. The binaries pass the signal context
 	// from cli.Main here so SIGINT/SIGTERM shuts a campaign down
-	// gracefully (final checkpoint already flushed per finished cell).
-	// Nil means context.Background() — never cancelled.
+	// gracefully (a disk cache already holds every cacheable cell that
+	// finished). Nil means context.Background() — never cancelled.
 	Ctx context.Context
 }
 
@@ -168,8 +166,8 @@ func (o Options) target() string {
 	return o.Target
 }
 
-// DecodeResult rebuilds a sim.Result from a checkpoint entry; install
-// it as Checkpoint.Decode when resuming sweep campaigns.
+// DecodeResult rebuilds a sim.Result from a cache entry; install it as
+// CellCache.Decode so sweep cells replay from a cache directory.
 func DecodeResult(key string, raw json.RawMessage) (any, error) {
 	var r sim.Result
 	if err := json.Unmarshal(raw, &r); err != nil {
@@ -243,8 +241,6 @@ func (o Options) liveObserver() func(harness.CellResult) {
 			live.Count("campaign.cells.failed", 1)
 		case r.Cached:
 			live.Count("campaign.cells.cached", 1)
-		case r.Restored:
-			live.Count("campaign.cells.restored", 1)
 		default:
 			live.Count("campaign.cells.ok", 1)
 		}
@@ -263,9 +259,6 @@ func (o Options) liveObserver() func(harness.CellResult) {
 // CellStatus records the error. Callers decide how much of the matrix
 // they require.
 func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[string]map[string]sim.Result, []obsv.CellStatus, harness.CacheStats, error) {
-	if o.Checkpoint != nil && o.Checkpoint.Decode == nil {
-		o.Checkpoint.Decode = DecodeResult
-	}
 	if o.Cache != nil && o.Cache.Decode == nil {
 		o.Cache.Decode = DecodeResult
 	}
@@ -321,7 +314,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 		CellTimeout:  o.CellTimeout,
 		StallTimeout: o.StallTimeout,
 		Retries:      o.Retries,
-		Checkpoint:   o.Checkpoint,
 		Cache:        o.Cache,
 		Bus:          o.Bus,
 		OnCellDone:   o.liveObserver(),
@@ -360,13 +352,9 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 				st.Status = obsv.CellFailed
 				st.Error = r.Err.Error()
 			default:
-				switch {
-				case r.Cached:
+				st.Status = obsv.CellOK
+				if r.Cached {
 					st.Status = obsv.CellCached
-				case r.Restored:
-					st.Status = obsv.CellRestored
-				default:
-					st.Status = obsv.CellOK
 				}
 				res, ok := r.Value.(sim.Result)
 				if !ok {
@@ -418,8 +406,8 @@ type PerfReport struct {
 	// snapshots alongside the normalized performance. Failed cells are
 	// absent.
 	Results map[string]map[string]sim.Result
-	// Cells records every campaign cell's verdict, including failed,
-	// checkpoint-restored and cache-replayed cells.
+	// Cells records every campaign cell's verdict, including failed and
+	// cache-replayed cells.
 	Cells []obsv.CellStatus
 	// Cache is the result-cache traffic of this sweep (zero value when
 	// no cache was configured): how many cells were replayed versus
@@ -436,6 +424,10 @@ func Sweep(o Options, title string, schemes []Variant) (*PerfReport, error) {
 	return perfReport(o.withDefaults(), title, schemes)
 }
 
+// baselineVariant is the non-secure system every perf sweep normalizes
+// against.
+var baselineVariant = Variant{Name: "baseline", Mutate: func(c *sim.Config) { c.Tracker = sim.TrackNone }}
+
 // perfReport runs baseline plus schemes and normalizes. Cells that
 // failed — or produced a non-positive cycle count, which would poison
 // the geomeans — are excluded from Norm and flagged in Cells; scheme
@@ -448,7 +440,7 @@ func perfReport(o Options, title string, schemes []Variant) (*PerfReport, error)
 	if err != nil {
 		return nil, err
 	}
-	variants := append([]Variant{{Name: "baseline", Mutate: func(c *sim.Config) { c.Tracker = sim.TrackNone }}}, schemes...)
+	variants := append([]Variant{baselineVariant}, schemes...)
 	res, cells, cstats, err := runMatrix(o, profiles, variants)
 	if err != nil {
 		return nil, err

@@ -121,7 +121,7 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 		switch e.Kind {
 		case harness.EvStarted:
 			started[e.Key] = true
-		case harness.EvCached, harness.EvRestored, harness.EvDone, harness.EvFailed:
+		case harness.EvCached, harness.EvDone, harness.EvFailed:
 			if _, dup := terminal[e.Key]; dup {
 				t.Errorf("cell %s has two terminal events", e.Key)
 			}
@@ -134,10 +134,9 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("report has no cells")
 	}
 	wantKind := map[string]string{
-		obsv.CellOK:       harness.EvDone,
-		obsv.CellFailed:   harness.EvFailed,
-		obsv.CellCached:   harness.EvCached,
-		obsv.CellRestored: harness.EvRestored,
+		obsv.CellOK:     harness.EvDone,
+		obsv.CellFailed: harness.EvFailed,
+		obsv.CellCached: harness.EvCached,
 	}
 	for _, c := range rep.Cells {
 		e, ok := terminal[c.Key]

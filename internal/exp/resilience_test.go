@@ -2,13 +2,10 @@ package exp
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/obsv"
 	"repro/internal/sim"
 )
@@ -65,18 +62,17 @@ func TestSweepIsolatesPanickingVariant(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointResume drives the -resume path end to end: a
-// first pass with a broken variant checkpoints its healthy cells; a
-// second pass against the same file reruns only what is missing.
-func TestSweepCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
+// TestSweepCacheResume drives resume by cache directory end to end. A
+// first pass with a broken variant stores its healthy cells; a second
+// pass, from a fresh cache over the same directory as a rerun would
+// open it, simulates only what is missing; a third at another T_RH and
+// seed simulates every cell again and matches a cache-free run, so a
+// directory filled at one setting never replays into another.
+func TestSweepCacheResume(t *testing.T) {
+	dir := t.TempDir()
 	o := Options{Scale: 64, Workloads: []string{"parest", "GUPS"}, Target: "resume"}
 
-	cp, err := harness.OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Checkpoint = cp
+	o.Cache = newCache(t, dir)
 	rep1, err := Sweep(o, "pass 1", []Variant{
 		{Name: "flaky", Mutate: func(c *sim.Config) { panic("breaks on the first pass") }},
 	})
@@ -86,40 +82,49 @@ func TestSweepCheckpointResume(t *testing.T) {
 	if n := len(FailedCells(rep1.Cells)); n != 2 {
 		t.Fatalf("pass 1 failed cells = %d, want 2", n)
 	}
-	if cp.Len() != 2 { // the two baseline cells
-		t.Fatalf("checkpoint holds %d cells after pass 1, want 2 (keys %v)", cp.Len(), cp.Keys())
+	if rep1.Cache.Stores != 2 { // the two baseline cells
+		t.Fatalf("pass 1 stored %d cells, want 2", rep1.Cache.Stores)
 	}
 
-	// Second pass: same campaign keys, variant fixed. Only the two
-	// previously failed cells may execute.
-	cp2, err := harness.OpenCheckpoint(path)
+	// Second pass: same directory, variant fixed. Only the two
+	// previously failed cells may simulate; cellIdentity calls Mutate
+	// for every cell, so the cache's misses count the simulations.
+	fixed := []Variant{{Name: "flaky", Mutate: func(c *sim.Config) { c.Tracker = sim.TrackHydra }}}
+	o.Cache = newCache(t, dir)
+	rep2, err := Sweep(o, "pass 2", fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Checkpoint = cp2
-	var reran atomic.Int64
-	rep2, err := Sweep(o, "pass 2", []Variant{
-		{Name: "flaky", Mutate: func(c *sim.Config) { reran.Add(1) }},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if rep2.Cache.Misses != 2 || rep2.Cache.DiskHits != 2 {
+		t.Fatalf("pass 2: %d misses, %d disk hits; want only the 2 missing cells simulated", rep2.Cache.Misses, rep2.Cache.DiskHits)
 	}
-	if n := reran.Load(); n != 2 {
-		t.Fatalf("resume reran %d cells, want only the 2 missing ones", n)
-	}
-	var restored int
-	for _, c := range rep2.Cells {
-		if c.Status == obsv.CellRestored {
-			restored++
-		}
-	}
-	if restored != 2 { // the baseline cells came from the checkpoint
-		t.Fatalf("restored cells = %d, want 2 (cells %+v)", restored, rep2.Cells)
+	if cached, ok := countStatus(rep2.Cells, obsv.CellCached), countStatus(rep2.Cells, obsv.CellOK); cached != 2 || ok != 2 {
+		t.Fatalf("pass 2: %d cached and %d ok cells, want 2 and 2 (cells %+v)", cached, ok, rep2.Cells)
 	}
 	if n := len(rep2.Norm["flaky"]); n != 2 {
 		t.Fatalf("pass 2 completed %d/2 flaky cells", n)
 	}
-	if cp2.Len() != 4 {
-		t.Fatalf("checkpoint holds %d cells after pass 2, want all 4", cp2.Len())
+
+	// Third pass: another threshold and seed over the same directory.
+	// No stored cell matches, so every cell simulates.
+	o.TRH, o.Seed = 250, SeedOf(2)
+	o.Cache = newCache(t, dir)
+	rep3, err := Sweep(o, "pass 3", fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.Cache.DiskHits != 0 || rep3.Cache.Misses != 4 {
+		t.Fatalf("pass 3: %d disk hits, %d misses; want every cell simulated", rep3.Cache.DiskHits, rep3.Cache.Misses)
+	}
+	fresh := o
+	fresh.Cache = nil
+	want, err := Sweep(fresh, "fresh", fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range o.Workloads {
+		if got, want := rep3.Norm["flaky"][wl], want.Norm["flaky"][wl]; got != want || got == 0 {
+			t.Fatalf("pass 3 %s: normalized %v, a fresh run gives %v", wl, got, want)
+		}
 	}
 }

@@ -110,10 +110,9 @@ type diskEntry struct {
 //
 // Safe for concurrent use by campaign workers.
 type CellCache struct {
-	// Decode rebuilds a value from its stored JSON, exactly like
-	// Checkpoint.Decode (results cross the harness as `any`). When nil,
-	// on-disk entries cannot be rebuilt and count as misses; the
-	// in-memory tier still works.
+	// Decode rebuilds a value from its stored JSON (results cross the
+	// harness as `any`). When nil, on-disk entries cannot be rebuilt and
+	// count as misses; the in-memory tier still works.
 	Decode func(key string, raw json.RawMessage) (any, error)
 
 	dir  string // "" = memory-only

@@ -114,10 +114,10 @@ func TestCellCacheWithoutDecodeSkipsDisk(t *testing.T) {
 }
 
 // TestCellCacheCorruptEntriesDiscarded pins the resilience contract:
-// truncated or garbage on-disk entries — and entries whose recorded
-// hash does not match their filename, e.g. a partially overwritten
-// file — are dropped and counted, never fatal, and a later Store
-// repairs them.
+// truncated, garbage or foreign-schema on-disk entries — and entries
+// whose recorded hash does not match their filename, e.g. a partially
+// overwritten file — are dropped and counted, never fatal, and a later
+// Store repairs them.
 func TestCellCacheCorruptEntriesDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	seed, err := NewCellCache(dir)
@@ -125,7 +125,7 @@ func TestCellCacheCorruptEntriesDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed.Decode = decodeCacheVal
-	for _, h := range []string{"trunc", "garbage", "wronghash", "badvalue"} {
+	for _, h := range []string{"trunc", "garbage", "wronghash", "wrongschema", "badvalue"} {
 		if err := seed.Store(h, "k-"+h, cacheVal{N: 9}, time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -136,10 +136,11 @@ func TestCellCacheCorruptEntriesDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupt := map[string][]byte{
-		"trunc":     full[:len(full)/2],
-		"garbage":   []byte("\x00\xffnot json at all"),
-		"wronghash": []byte(`{"schema":"hydra-cell-cache/v1","hash":"someone-else","key":"k","cost_ns":1,"value":{"n":1}}`),
-		"badvalue":  []byte(`{"schema":"hydra-cell-cache/v1","hash":"badvalue","key":"k","cost_ns":1,"value":"not-an-object"}`),
+		"trunc":       full[:len(full)/2],
+		"garbage":     []byte("\x00\xffnot json at all"),
+		"wronghash":   []byte(`{"schema":"hydra-cell-cache/v1","hash":"someone-else","key":"k","cost_ns":1,"value":{"n":1}}`),
+		"wrongschema": []byte(`{"schema":"hydra-cell-cache/v999","hash":"wrongschema","key":"k","cost_ns":1,"value":{"n":1}}`),
+		"badvalue":    []byte(`{"schema":"hydra-cell-cache/v1","hash":"badvalue","key":"k","cost_ns":1,"value":"not-an-object"}`),
 	}
 	for name, data := range corrupt {
 		if err := os.WriteFile(filepath.Join(dir, name+".json"), data, 0o644); err != nil {

@@ -9,16 +9,15 @@ import (
 // bump on breaking changes so stream consumers can dispatch.
 const CellEventSchema = "hydra-cell-event/v1"
 
-// Cell event kinds, in rough lifecycle order. cached, restored, done
-// and failed are terminal: a campaign publishes exactly one terminal
-// event per cell, matching the cell's row in the run report.
+// Cell event kinds, in rough lifecycle order. cached, done and failed
+// are terminal: a campaign publishes exactly one terminal event per
+// cell, matching the cell's row in the run report.
 const (
 	EvQueued   = "queued"   // cell admitted to the campaign (after the cache pre-pass)
 	EvStarted  = "started"  // first attempt entered a worker
 	EvProgress = "progress" // periodic simulated-cycle sample from the running attempt
 	EvRetried  = "retried"  // a failed attempt is being retried (Attempt = new attempt number)
 	EvCached   = "cached"   // terminal: value replayed from the result cache
-	EvRestored = "restored" // terminal: value restored from a checkpoint
 	EvDone     = "done"     // terminal: computed successfully
 	EvFailed   = "failed"   // terminal: all attempts failed; Error holds the last one
 )
@@ -53,7 +52,7 @@ type CellEvent struct {
 // Terminal reports whether the event settles its cell.
 func (e CellEvent) Terminal() bool {
 	switch e.Kind {
-	case EvCached, EvRestored, EvDone, EvFailed:
+	case EvCached, EvDone, EvFailed:
 		return true
 	}
 	return false

@@ -156,7 +156,7 @@ func TestBusSubscribeAny(t *testing.T) {
 func TestCellEventTerminal(t *testing.T) {
 	terminal := map[string]bool{
 		EvQueued: false, EvStarted: false, EvProgress: false, EvRetried: false,
-		EvCached: true, EvRestored: true, EvDone: true, EvFailed: true,
+		EvCached: true, EvDone: true, EvFailed: true,
 	}
 	for kind, want := range terminal {
 		if got := (CellEvent{Kind: kind}).Terminal(); got != want {

@@ -13,9 +13,9 @@
 //   - failed cells are retried with capped backoff; the attempt number
 //     is passed back in so the caller can reseed, separating
 //     seed-dependent corner cases from deterministic bugs;
-//   - completed cells are written to an optional JSON checkpoint
-//     (see Checkpoint), so an interrupted campaign resumes by
-//     recomputing only the missing cells.
+//   - completed cells are written to an optional content-addressed
+//     cache (see CellCache), so an interrupted campaign rerun over the
+//     same cache directory recomputes only the missing cells.
 //
 // Cells cooperate through two channels: they honor ctx cancellation
 // (the simulator polls it between events) and report simulated cycles
@@ -64,12 +64,12 @@ type Env struct {
 
 // Cell is one unit of campaign work.
 type Cell struct {
-	// Key identifies the cell in checkpoints and results; campaign keys
+	// Key identifies the cell in events and results; campaign keys
 	// must be unique. The experiment layer uses "target/variant/workload".
 	Key string
 	// Run computes the cell. It must honor ctx cancellation and should
 	// report progress via env.Progress. The returned value must be
-	// JSON-marshalable when checkpointing is enabled.
+	// JSON-marshalable when the cache has a disk tier.
 	Run func(ctx context.Context, env Env) (any, error)
 	// CacheKey is the cell's content-addressed identity — a hash of
 	// everything that determines its outcome (see sim.Config.CacheKey).
@@ -92,17 +92,16 @@ type CellResult struct {
 	Key      string
 	Value    any   // nil when Err != nil
 	Err      error // nil on success
-	Attempts int   // attempts actually made (0 when restored)
+	Attempts int   // attempts actually made (0 when cached)
 	Panicked bool  // at least one attempt panicked
 	Stalled  bool  // at least one attempt was killed by the watchdog
-	Restored bool  // value came from the checkpoint; Run never called
 	Cached   bool  // value replayed from the result cache; Run never called
 	Elapsed  time.Duration
 	// Cycles is the last simulated-cycle value the cell reported via
 	// Env.Progress — how far a failed cell got, and a harness-level
 	// cross-check for completed ones. Tracked only when the campaign
-	// has a Bus or a stall watchdog; 0 otherwise (and for cached or
-	// restored cells, which never run).
+	// has a Bus or a stall watchdog; 0 otherwise (and for cached
+	// cells, which never run).
 	Cycles int64
 }
 
@@ -121,25 +120,22 @@ type Options struct {
 	// Backoff is the sleep before the first retry, doubling per attempt
 	// and capped at 16x (default 100ms when Retries > 0).
 	Backoff time.Duration
-	// Checkpoint, when non-nil, restores completed cells before running
-	// and stores each newly completed cell.
-	Checkpoint *Checkpoint
 	// Cache, when non-nil, resolves cells by CacheKey before the workers
 	// start (hits never enter the pool) and records each newly computed
 	// cell's value and wall-clock cost. Cells left to run are ordered
 	// longest-processing-time-first using the cache's recorded costs,
 	// falling back to Cell.EstCost.
 	Cache *CellCache
-	// OnCellDone, when non-nil, observes each settled cell (restored,
+	// OnCellDone, when non-nil, observes each settled cell (cached,
 	// succeeded, or exhausted). Called from worker goroutines; must be
 	// safe for concurrent use.
 	OnCellDone func(CellResult)
 	// Bus, when non-nil, receives a structured CellEvent for every cell
 	// lifecycle transition (queued, started, progress, retried, cached,
-	// restored, done, failed), for live progress rendering and the
-	// obsv.Server /events NDJSON stream. Publishing never blocks the
-	// worker pool. The campaign does not close the bus — the caller
-	// owns its lifetime (it may span several campaigns of one run).
+	// done, failed), for live progress rendering and the obsv.Server
+	// /events NDJSON stream. Publishing never blocks the worker pool.
+	// The campaign does not close the bus — the caller owns its
+	// lifetime (it may span several campaigns of one run).
 	Bus *Bus
 }
 
@@ -333,25 +329,10 @@ func publishCell(b *Bus, kind string, cell Cell, mut func(*CellEvent)) {
 	b.Publish(e)
 }
 
-// runCell settles one cell: checkpoint restore, then up to 1+Retries
-// attempts with backoff.
+// runCell settles one cell: up to 1+Retries attempts with backoff.
 func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	start := time.Now()
 	res := CellResult{Key: cell.Key}
-	if opts.Checkpoint != nil {
-		if v, ok, err := opts.Checkpoint.Restore(cell.Key); err != nil {
-			// A corrupt entry is not fatal: fall through and recompute.
-			res.Err = err
-		} else if ok {
-			res.Value = v
-			res.Restored = true
-			res.Elapsed = time.Since(start)
-			publishCell(opts.Bus, EvRestored, cell, func(e *CellEvent) {
-				e.ElapsedSec = res.Elapsed.Seconds()
-			})
-			return res
-		}
-	}
 	var obs *cellObs
 	if opts.Bus != nil || opts.StallTimeout > 0 {
 		obs = &cellObs{cell: cell, bus: opts.Bus, start: start}
@@ -390,12 +371,6 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 				// (exp reseeds them), so a retry's value no longer matches
 				// the content hash computed from the original inputs.
 				_ = opts.Cache.Store(cell.CacheKey, cell.Key, v, attemptElapsed)
-			}
-			if opts.Checkpoint != nil {
-				if cerr := opts.Checkpoint.Store(cell.Key, v); cerr != nil {
-					res.Err = fmt.Errorf("harness: cell %q succeeded but checkpoint failed: %w", cell.Key, cerr)
-					res.Value = nil
-				}
 			}
 			break
 		}

@@ -2,20 +2,12 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
 
 func keys(n int) []string {
 	var ks []string
@@ -198,197 +190,5 @@ func TestCampaignCancellation(t *testing.T) {
 		if r.Key == "" {
 			t.Fatal("abandoned cell left without a key/verdict")
 		}
-	}
-}
-
-type cellValue struct {
-	IPC  float64 `json:"ipc"`
-	Note string  `json:"note"`
-}
-
-func TestCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	decode := func(key string, raw json.RawMessage) (any, error) {
-		var v cellValue
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-	mkCells := func(ran *atomic.Int64, failKey string) []Cell {
-		var cells []Cell
-		for _, k := range keys(4) {
-			k := k
-			cells = append(cells, Cell{Key: k, Run: func(ctx context.Context, env Env) (any, error) {
-				ran.Add(1)
-				if k == failKey {
-					return nil, errors.New("injected failure")
-				}
-				return cellValue{IPC: 1.5, Note: k}, nil
-			}})
-		}
-		return cells
-	}
-
-	// First pass: one cell fails, three are checkpointed.
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Decode = decode
-	var ran1 atomic.Int64
-	results, err := RunCampaign(context.Background(), mkCells(&ran1, "exp/variant1/wl"),
-		Options{Checkpoint: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran1.Load() != 4 || cp.Len() != 3 {
-		t.Fatalf("first pass: ran %d cells, checkpointed %d; want 4 and 3", ran1.Load(), cp.Len())
-	}
-	if results[1].Err == nil {
-		t.Fatal("failed cell stored as success")
-	}
-
-	// Second pass from a fresh process: only the failed cell reruns.
-	cp2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp2.Decode = decode
-	var ran2 atomic.Int64
-	results, err = RunCampaign(context.Background(), mkCells(&ran2, ""),
-		Options{Checkpoint: cp2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran2.Load() != 1 {
-		t.Fatalf("resume recomputed %d cells, want 1", ran2.Load())
-	}
-	for i, r := range results {
-		v, ok := r.Value.(cellValue)
-		if !ok || v.IPC != 1.5 {
-			t.Fatalf("cell %d: bad restored value %+v", i, r.Value)
-		}
-		if wantRestored := i != 1; r.Restored != wantRestored {
-			t.Fatalf("cell %d: Restored = %v, want %v", i, r.Restored, wantRestored)
-		}
-	}
-	if cp2.Len() != 4 {
-		t.Fatalf("after resume checkpoint holds %d cells, want 4", cp2.Len())
-	}
-}
-
-func TestCheckpointQuarantinesWrongSchema(t *testing.T) {
-	// A corrupt or foreign-schema checkpoint must not wedge a resume:
-	// it is moved aside to <path>.corrupt, the campaign restarts empty,
-	// and Recovered reports what happened.
-	for name, content := range map[string]string{
-		"wrong-schema": `{"schema":"hydra-checkpoint/v999","cells":{"k":{}}}`,
-		"not-json":     `{not json`,
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "checkpoint.json")
-			if err := writeFile(path, content); err != nil {
-				t.Fatal(err)
-			}
-			cp, err := OpenCheckpoint(path)
-			if err != nil {
-				t.Fatalf("corrupt checkpoint fatal: %v", err)
-			}
-			if cp.Len() != 0 {
-				t.Fatalf("recovered checkpoint holds %d cells, want 0", cp.Len())
-			}
-			if cp.Recovered() == "" {
-				t.Fatal("Recovered() empty after quarantine")
-			}
-			if _, err := os.Stat(path + ".corrupt"); err != nil {
-				t.Fatalf("corrupt file not quarantined: %v", err)
-			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("corrupt file still at original path (err=%v)", err)
-			}
-			// The recovered checkpoint must be usable.
-			if err := cp.Store("k", cellValue{IPC: 1}); err != nil {
-				t.Fatalf("Store after recovery: %v", err)
-			}
-			reopened, err := OpenCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reopened.Recovered() != "" || reopened.Len() != 1 {
-				t.Fatalf("reopen: recovered=%q len=%d, want clean 1-cell checkpoint",
-					reopened.Recovered(), reopened.Len())
-			}
-		})
-	}
-}
-
-func TestCheckpointCorruptEntryRecomputes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	if err := writeFile(path, `{"schema":"hydra-checkpoint/v1","cells":{"k":"not-an-object"}}`); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Decode = func(key string, raw json.RawMessage) (any, error) {
-		var v cellValue
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-	ran := false
-	results, err := RunCampaign(context.Background(), []Cell{{
-		Key: "k",
-		Run: func(ctx context.Context, env Env) (any, error) { ran = true; return cellValue{IPC: 2}, nil },
-	}}, Options{Checkpoint: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran || results[0].Err != nil || results[0].Restored {
-		t.Fatalf("corrupt entry should force a recompute: ran=%v %+v", ran, results[0])
-	}
-}
-
-// TestCheckpointConcurrentStores hammers Store from many goroutines
-// and verifies the on-disk file ends up with every cell: snapshots are
-// taken under the cell lock and written newest-first, so racing
-// writers cannot roll the file back to a stale state.
-func TestCheckpointConcurrentStores(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := cp.Store(fmt.Sprintf("cell-%02d", i), cellValue{IPC: float64(i)}); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if cp.Len() != n {
-		t.Fatalf("in-memory cells = %d, want %d", cp.Len(), n)
-	}
-	// Re-open from disk: the surviving snapshot must contain all cells.
-	cp2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Len() != n {
-		t.Fatalf("on-disk cells = %d, want %d", cp2.Len(), n)
 	}
 }

@@ -1,10 +1,10 @@
 package harness
 
-// Crash/resume lifecycle machines for the storage plane, built on
+// Crash/resume lifecycle machine for the storage plane, built on
 // internal/proptest and internal/iofault. Where cache_gc_test.go
-// model-checks the janitor under clean IO, these machines generate
+// model-checks the janitor under clean IO, this machine generates
 // put/get/evict/crash/resume interleavings with the crash landing at a
-// generated IO step, and assert the storage contracts:
+// generated IO step, and asserts the storage contracts:
 //
 //   - no valid entry is ever silently lost: every confirmed store is
 //     readable after recovery or accounted for by an eviction;
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -217,138 +216,6 @@ func cacheCrashProp(tb testing.TB, entry int64) func(*proptest.T) {
 func TestCacheCrashResumeMachine(t *testing.T) {
 	entry := lcEntrySize(t)
 	proptest.Check(t, cacheCrashProp(t, entry))
-}
-
-// ckptWorld is the checkpoint machine's state. A store that returned
-// nil is confirmed durable. A store that crashed is *indeterminate*:
-// the crash may have landed after the rename took effect (the cell is
-// durable even though Store reported failure) or before (it is gone) —
-// but never in between, because the write is atomic. pending holds
-// those until the next recovery resolves them one way or the other.
-type ckptWorld struct {
-	path    string
-	ckpt    *Checkpoint
-	model   map[string]string // confirmed cells: key -> stored value
-	pending map[string]string // crashed stores, durability unknown
-	next    int
-}
-
-func (w *ckptWorld) open(t *proptest.T, fsys iofault.FS) bool {
-	c, err := OpenCheckpointFS(w.path, fsys)
-	if errors.Is(err, iofault.ErrCrashed) {
-		// The open itself hit the crash point; the caller recovers.
-		return false
-	}
-	if err != nil {
-		t.Fatalf("open checkpoint: %v", err)
-	}
-	if c.Recovered() != "" {
-		t.Fatalf("checkpoint recovered from corruption (%s) — atomic writes must not tear", c.Recovered())
-	}
-	c.Decode = lcDecode
-	w.ckpt = c
-	return true
-}
-
-// verify asserts the confirmed model against a clean reopen, twice, and
-// that restores are bitwise identical. The first reopen resolves the
-// pending set: a crashed store that proved durable is promoted to
-// confirmed (future whole-file rewrites will carry it), one that did
-// not make it is dropped for good.
-func (w *ckptWorld) verify(t *proptest.T) {
-	var snaps [2][]string
-	for round := 0; round < 2; round++ {
-		w.open(t, iofault.OS{})
-		keys := w.ckpt.Keys()
-		snaps[round] = keys
-		for k, want := range w.pending {
-			v, ok, err := w.ckpt.Restore(k)
-			if err != nil {
-				t.Fatalf("pending cell %q unreadable: %v — crashed store tore the file", k, err)
-			}
-			if ok {
-				if v != want {
-					t.Fatalf("pending cell %q restored %v, attempted %v — crashed store wrote a mixed state", k, v, want)
-				}
-				w.model[k] = want
-			}
-			delete(w.pending, k)
-		}
-		for k, want := range w.model {
-			v, ok, err := w.ckpt.Restore(k)
-			if err != nil || !ok {
-				t.Fatalf("confirmed cell %q lost: ok=%v err=%v", k, ok, err)
-			}
-			if v != want {
-				t.Fatalf("cell %q restored %v, stored %v", k, v, want)
-			}
-		}
-		if len(keys) != len(w.model) {
-			t.Fatalf("checkpoint holds %d cells, model %d (keys %v)", len(keys), len(w.model), keys)
-		}
-	}
-	for i := range snaps[0] {
-		if snaps[0][i] != snaps[1][i] {
-			t.Fatalf("resume not deterministic: key lists differ at %d: %q vs %q",
-				i, snaps[0][i], snaps[1][i])
-		}
-	}
-}
-
-func checkpointProp(tb testing.TB) func(*proptest.T) {
-	return func(t *proptest.T) {
-		w := &ckptWorld{
-			path:    filepath.Join(tb.(*testing.T).TempDir(), "checkpoint.json"),
-			model:   map[string]string{},
-			pending: map[string]string{},
-		}
-		w.open(t, iofault.OS{})
-		proptest.Repeat(t, map[string]func(*proptest.T){
-			// Crash at a generated IO step during a run of stores; the
-			// stores that returned nil are durable, the one that
-			// crashed is not — and the file must still parse.
-			"crash-stores": func(t *proptest.T) {
-				inj := iofault.NewInjector(iofault.OS{})
-				inj.Plan = iofault.CrashPlan(proptest.IntRange(0, 30).Draw(t, "crashAt"))
-				if !w.open(t, inj) {
-					w.verify(t)
-					return
-				}
-				n := proptest.IntRange(1, 5).Draw(t, "n")
-				for i := 0; i < n; i++ {
-					k := lcKey(w.next)
-					val := fmt.Sprintf("value-%d", w.next)
-					w.next++
-					if err := w.ckpt.Store(k, val); err == nil {
-						w.model[k] = val
-					} else if errors.Is(err, iofault.ErrCrashed) {
-						w.pending[k] = val
-					} else {
-						t.Fatalf("store under crash plan: unexpected error %v", err)
-					}
-				}
-				w.verify(t)
-			},
-			"reopen": func(t *proptest.T) { w.verify(t) },
-			"store": func(t *proptest.T) {
-				k := lcKey(w.next)
-				val := fmt.Sprintf("value-%d", w.next)
-				w.next++
-				if err := w.ckpt.Store(k, val); err != nil {
-					t.Fatalf("store: %v", err)
-				}
-				w.model[k] = val
-			},
-		})
-		w.verify(t)
-	}
-}
-
-// TestCheckpointLifecycleMachine generates checkpoint lifetimes with
-// crashes mid-store: confirmed cells are never lost, recovery never
-// sees corruption, resume is bitwise-deterministic.
-func TestCheckpointLifecycleMachine(t *testing.T) {
-	proptest.Check(t, checkpointProp(t))
 }
 
 // lcSweepWorkload drives the fixed workload the crash-point sweep

@@ -65,7 +65,7 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 			}
 		}
 		fmt.Fprintf(b, "  cells: %d total", len(r.Cells))
-		for _, st := range []string{obsv.CellOK, obsv.CellCached, obsv.CellRestored, obsv.CellFailed, obsv.CellBaselineMissing} {
+		for _, st := range []string{obsv.CellOK, obsv.CellCached, obsv.CellFailed, obsv.CellBaselineMissing} {
 			if counts[st] > 0 {
 				fmt.Fprintf(b, " · %d %s", counts[st], st)
 			}
@@ -147,12 +147,12 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 }
 
 // slowestCells returns the top-n cells by wall-clock, slowest first.
-// Cached and restored cells are skipped: replaying a value in
-// microseconds is not a scheduling signal.
+// Cached cells are skipped: replaying a value in microseconds is not a
+// scheduling signal.
 func slowestCells(cells []obsv.CellStatus, n int) []obsv.CellStatus {
 	var ran []obsv.CellStatus
 	for _, c := range cells {
-		if c.Status == obsv.CellCached || c.Status == obsv.CellRestored || c.ElapsedSec <= 0 {
+		if c.Status == obsv.CellCached || c.ElapsedSec <= 0 {
 			continue
 		}
 		ran = append(ran, c)

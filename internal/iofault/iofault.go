@@ -1,6 +1,6 @@
 // Package iofault is the seam between the storage plane and the
 // filesystem: a small FS interface covering exactly the operations the
-// durable artifacts perform (cache entries, checkpoints, run reports),
+// durable artifacts perform (cache entries and run reports),
 // a passthrough OS implementation, and a deterministic fault Injector
 // (inject.go) that can fail, tear or "crash" any operation by index.
 //
@@ -97,7 +97,7 @@ func (OS) SyncDir(path string) error {
 // fsync of the parent directory. A crash at any step leaves either the
 // previous file or none — never a torn one — and the rename itself
 // survives power loss. It is the one write path every durable artifact
-// (cache entry, checkpoint, run report) goes through.
+// (cache entry, run report) goes through.
 func WriteAtomic(fsys FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, ".atomic-*")

@@ -139,12 +139,10 @@ func (h Hist) Clone() Hist {
 
 // Merge accumulates another histogram with identical bounds into h
 // (bucket-wise addition). Mismatched bounds panic: merging histograms
-// of different shapes indicates a harness bug. This is also the shard
-// merge point of the channel-parallel engine: each memsim channel
-// observes into its own histograms while epochs run concurrently, and
-// Memory.Stats folds the shards together here after the barrier —
-// addition commutes, so the fold is order-independent and the merged
-// result is identical in serial and parallel runs.
+// of different shapes indicates a harness bug. Memory.Stats folds each
+// memsim channel's own histograms together here, and run reports merge
+// the snapshots of many cells here; addition commutes, so either fold
+// gives the same result in any order.
 func (h *Hist) Merge(other Hist) {
 	if other.N == 0 {
 		return

@@ -41,8 +41,8 @@ type Report struct {
 	Workloads []WorkloadReport `json:"workloads,omitempty"`
 
 	// Cells records the fate of every sweep cell the campaign harness
-	// ran for this target, including failed and checkpoint-restored
-	// cells (which have no workload row).
+	// ran for this target, including failed cells (which have no
+	// workload row).
 	Cells []CellStatus `json:"cells,omitempty"`
 
 	// Geomeans maps scheme -> suite -> geometric-mean normalized
@@ -61,10 +61,9 @@ type Report struct {
 
 // Cell statuses recorded in CellStatus.Status.
 const (
-	CellOK       = "ok"       // computed this run
-	CellFailed   = "failed"   // all attempts failed; Error holds the last one
-	CellRestored = "restored" // value came from a resume checkpoint
-	CellCached   = "cached"   // value replayed from the result cache
+	CellOK     = "ok"     // computed this run
+	CellFailed = "failed" // all attempts failed; Error holds the last one
+	CellCached = "cached" // value replayed from the result cache
 	// CellBaselineMissing marks a scheme cell that simulated fine but
 	// could not be normalized because its baseline cell failed — a
 	// different signal than a failure of the cell itself (chaos and
@@ -74,7 +73,7 @@ const (
 
 // CellStatus is the per-cell verdict of a harness campaign: one entry
 // per (variant, workload) simulation, whether it succeeded, was
-// restored from a checkpoint, or failed after retries.
+// replayed from the result cache, or failed after retries.
 type CellStatus struct {
 	// Key identifies the cell, "target/variant/workload".
 	Key string `json:"key"`
@@ -83,7 +82,7 @@ type CellStatus struct {
 	// Error is the last attempt's error for failed cells, or the reason
 	// a baseline-missing cell could not be normalized.
 	Error string `json:"error,omitempty"`
-	// Attempts counts attempts actually made (0 when restored).
+	// Attempts counts attempts actually made (0 when cached).
 	Attempts int `json:"attempts,omitempty"`
 	// Panicked / Stalled flag cells that died by panic or were killed
 	// by the progress watchdog on at least one attempt.
@@ -94,7 +93,7 @@ type CellStatus struct {
 	// Cycles is the cell's simulated-cycle count: the simulator's own
 	// result for completed cells, the last watchdog-observed progress
 	// value for failed ones (how far it got before dying). Zero for
-	// cached/restored cells, which replay a value without simulating.
+	// cached cells, which replay a value without simulating.
 	// Together with ElapsedSec this gives hydrastat a cycles-per-second
 	// rate to rank slow cells by, and run reports become a usable cost
 	// model for the LPT scheduler (see harness.CellCache.SeedCosts).
@@ -107,7 +106,7 @@ func (c CellStatus) Validate() error {
 		return fmt.Errorf("obsv: cell status missing key")
 	}
 	switch c.Status {
-	case CellOK, CellRestored, CellCached:
+	case CellOK, CellCached:
 		if c.Error != "" {
 			return fmt.Errorf("obsv: cell %s: status %q with error %q", c.Key, c.Status, c.Error)
 		}
@@ -253,8 +252,8 @@ func (f *ReportFile) WriteFileFS(fsys iofault.FS, path string) error {
 //
 //   - CreatedAt collapses to the Unix epoch (a fixed non-zero instant,
 //     so Validate still passes) and ElapsedSec to zero — wall-clock;
-//   - Cells drop entirely — the same result is "ok" in a clean run,
-//     "restored" after a crash, "cached" on a warm replay;
+//   - Cells drop entirely — the same result is "ok" in a clean run and
+//     "cached" when a rerun after a crash or on a warm cache replays it;
 //   - cache.* metrics drop — hit/miss traffic depends on the IO
 //     history, not the simulated system.
 //

@@ -19,7 +19,7 @@ type ChaosStats struct {
 }
 
 // chaosRand is a xorshift64* draw in [0,1); deterministic per seed so
-// chaos campaigns are reproducible and resumable.
+// chaos campaigns are reproducible.
 func (s *System) chaosRand() float64 {
 	x := s.chaosRNG
 	x ^= x << 13

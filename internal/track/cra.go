@@ -35,13 +35,18 @@ const craRowsPerLine = 64 // 1-byte counters, 64-byte lines
 var _ rh.Tracker = (*CRA)(nil)
 
 // NewCRA creates a CRA tracker with the given metadata-cache capacity
-// in bytes (the paper evaluates 64 KB, 128 KB and 256 KB).
+// in bytes (the paper evaluates 64 KB, 128 KB and 256 KB). T_RH/2 must
+// fit its 16-bit counters.
 func NewCRA(geom Geometry, trh, cacheBytes int, sink rh.MemSink) (*CRA, error) {
 	if geom.Rows <= 0 {
 		return nil, fmt.Errorf("track: invalid geometry %+v", geom)
 	}
 	if trh <= 1 {
 		return nil, fmt.Errorf("track: TRH must exceed 1, got %d", trh)
+	}
+	threshold, err := counterThreshold("CRA", trh)
+	if err != nil {
+		return nil, err
 	}
 	lines := cacheBytes / 64
 	ways := 16
@@ -57,7 +62,7 @@ func NewCRA(geom Geometry, trh, cacheBytes int, sink rh.MemSink) (*CRA, error) {
 	}
 	return &CRA{
 		geom:      geom,
-		threshold: mitigationThreshold(trh),
+		threshold: threshold,
 		cacheSize: cacheBytes,
 		mc:        mc,
 		counts:    rh.NewCounterTable(geom.Rows),

@@ -47,7 +47,8 @@ type dcbfBank struct {
 var _ rh.Tracker = (*DCBF)(nil)
 
 // NewDCBF creates a D-CBF tracker. countersPerBank <= 0 selects the
-// calibrated sizing 32*ACTMax/T_RH counters per filter per bank.
+// calibrated sizing 32*ACTMax/T_RH counters per filter per bank. T_RH/2
+// must fit the filters' saturating 16-bit counters.
 func NewDCBF(geom Geometry, trh, countersPerBank int, seed uint64) (*DCBF, error) {
 	if geom.Rows <= 0 || geom.ACTMax <= 0 || geom.Banks <= 0 {
 		return nil, fmt.Errorf("track: invalid geometry %+v", geom)
@@ -55,13 +56,17 @@ func NewDCBF(geom Geometry, trh, countersPerBank int, seed uint64) (*DCBF, error
 	if trh <= 1 {
 		return nil, fmt.Errorf("track: TRH must exceed 1, got %d", trh)
 	}
+	threshold, err := counterThreshold("D-CBF", trh)
+	if err != nil {
+		return nil, err
+	}
 	if countersPerBank <= 0 {
 		countersPerBank = 32 * geom.ACTMax / trh
 	}
 	rng := splitMix64{state: seed}
 	d := &DCBF{
 		geom:      geom,
-		threshold: mitigationThreshold(trh),
+		threshold: threshold,
 		m:         countersPerBank,
 		banks:     make([]dcbfBank, geom.Banks),
 		halfEach:  geom.ACTMax / 2,

@@ -2,7 +2,6 @@ package track
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/rh"
 )
@@ -35,9 +34,9 @@ func NewOCPR(geom Geometry, trh int) (*OCPR, error) {
 	if trh <= 1 {
 		return nil, fmt.Errorf("track: TRH must exceed 1, got %d", trh)
 	}
-	threshold := mitigationThreshold(trh)
-	if threshold > math.MaxUint16 {
-		return nil, fmt.Errorf("track: OCPR threshold T_RH/2 = %d overflows its 16-bit counters", threshold)
+	threshold, err := counterThreshold("OCPR", trh)
+	if err != nil {
+		return nil, err
 	}
 	return &OCPR{
 		geom:      geom,

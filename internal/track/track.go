@@ -21,7 +21,12 @@
 // user-facing catalog of every scheme in this package.
 package track
 
-import "repro/internal/rh"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/rh"
+)
 
 // Geometry carries the memory-system facts trackers size themselves
 // with.
@@ -56,4 +61,15 @@ func mitigationThreshold(trh int) int {
 		t = 1
 	}
 	return t
+}
+
+// counterThreshold is mitigationThreshold for a tracker whose counters
+// are 16 bits wide. It refuses a threshold past 65535, which such a
+// counter would wrap (or, saturating, never reach) before counting to.
+func counterThreshold(name string, trh int) (int, error) {
+	t := mitigationThreshold(trh)
+	if t > math.MaxUint16 {
+		return 0, fmt.Errorf("track: %s threshold T_RH/2 = %d overflows its 16-bit counters", name, t)
+	}
+	return t, nil
 }

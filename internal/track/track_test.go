@@ -140,21 +140,39 @@ func TestOCPRStorageMatchesTable1(t *testing.T) {
 	}
 }
 
-// TestOCPRThresholdFitsCounters pins the 16-bit counter width: the
-// largest threshold that fits mitigates at exactly T_RH/2 activations,
-// and one past it is refused rather than left to wrap.
+// TestOCPRThresholdFitsCounters pins the 16-bit counter width of OCPR,
+// CRA and D-CBF: the largest threshold that fits acts at exactly T_RH/2
+// activations, and one past it is refused rather than left to wrap
+// (or, in D-CBF's saturating filters, never be reached).
 func TestOCPRThresholdFitsCounters(t *testing.T) {
-	if _, err := NewOCPR(testGeom(), 2*(math.MaxUint16+1)); err == nil {
-		t.Fatal("NewOCPR accepted T_RH/2 = 65536, past its 16-bit counters")
-	}
-	o := MustNewOCPR(testGeom(), 2*math.MaxUint16+1)
-	for i := 1; i < math.MaxUint16; i++ {
-		if o.Activate(3) {
-			t.Fatalf("mitigation at %d activations, want %d", i, math.MaxUint16)
-		}
-	}
-	if !o.Activate(3) {
-		t.Fatalf("no mitigation at %d activations", math.MaxUint16)
+	geom := testGeom()
+	geom.ACTMax = 1 << 18 // D-CBF swaps filters every ACTMax/2 activations of a bank
+	const fits, past = 2*math.MaxUint16 + 1, 2 * (math.MaxUint16 + 1)
+	for _, tc := range []struct {
+		name  string
+		build func(trh int) (rh.Tracker, error)
+	}{
+		{"ocpr", func(trh int) (rh.Tracker, error) { return NewOCPR(geom, trh) }},
+		{"cra", func(trh int) (rh.Tracker, error) { return NewCRA(geom, trh, 64*1024, rh.NullSink{}) }},
+		{"dcbf", func(trh int) (rh.Tracker, error) { return NewDCBF(geom, trh, 4096, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.build(past); err == nil {
+				t.Fatalf("accepted T_RH/2 = %d, past its 16-bit counters", past/2)
+			}
+			tr, err := tc.build(fits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < math.MaxUint16; i++ {
+				if tr.Activate(3) {
+					t.Fatalf("mitigation at %d activations, want %d", i, math.MaxUint16)
+				}
+			}
+			if !tr.Activate(3) {
+				t.Fatalf("no mitigation at %d activations", math.MaxUint16)
+			}
+		})
 	}
 }
 
