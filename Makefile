@@ -42,13 +42,17 @@ test:
 # or use `make soak` for the thorough tier. The explicit -timeout
 # raises go test's 10 m per-package default: internal/exp's campaign
 # tests already run minutes natively and the race detector multiplies
-# that several-fold. The last step runs the end-to-end benchmark's own
-# tests (bench/ is a separate module the root ./... never builds):
-# they replay every benchmark workload against bench/golden.json, the
-# proof that a hot-path change left simulated results bitwise-identical.
+# that several-fold. The memsim equivalence machines also run at the
+# thorough tier: every cell runs through the epoch engine, and its 20x
+# cases take about a second. The last step runs the end-to-end
+# benchmark's own tests (bench/ is a separate module the root ./...
+# never builds): they replay every benchmark workload against
+# bench/golden.json, the proof that a hot-path change left simulated
+# results bitwise-identical.
 check: fmt-check bench-smoke docs-lint
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
+	TEST_INTENSITY=thorough $(GO) test ./internal/memsim
 	cd bench && $(GO) test ./...
 
 # fmt-check fails when gofmt would reformat any file (it lists them).

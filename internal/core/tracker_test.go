@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,42 @@ func TestRCCEvictionWritesBack(t *testing.T) {
 	// evicted with count 41; re-activating it resumes from the RCT.
 	if got := h.EstimatedCount(rh.Row(0)); got != 41 {
 		t.Fatalf("evicted count lost: estimated = %d, want 41", got)
+	}
+}
+
+// offsetSink records the line offset of every RCT transfer.
+type offsetSink struct{ reads, writes []uint64 }
+
+func (s *offsetSink) MetaRead(off uint64)  { s.reads = append(s.reads, off) }
+func (s *offsetSink) MetaWrite(off uint64) { s.writes = append(s.writes, off) }
+
+// TestRCCEvictionWritesBackToVictimLine pins where a dirty RCC victim
+// is written back: to its own RCT line, not the incoming row's. Rows
+// 0-7 (line 0) fill the single RCC set; row 64 lies in the next line of
+// the same group, so whichever entry it evicts, the install reads line
+// 64 and the write-back reads and writes line 0.
+func TestRCCEvictionWritesBackToVictimLine(t *testing.T) {
+	cfg := smallConfig()
+	cfg.RCCEntries = 8
+	cfg.RCCWays = 8
+	sink := &offsetSink{}
+	h := MustNew(cfg, sink)
+	for i := 0; i < 40; i++ {
+		h.Activate(rh.Row(0)) // saturate group 0 (rows 0-127)
+	}
+	for r := rh.Row(0); r < 8; r++ {
+		h.Activate(r) // dirty installs from line 0
+	}
+	victimLine, incomingLine := h.rctLineOffset(0), h.rctLineOffset(64)
+	if victimLine == incomingLine {
+		t.Fatalf("rows 0 and 64 share RCT line %d; the test needs two lines", victimLine)
+	}
+	sink.reads, sink.writes = nil, nil
+	h.Activate(rh.Row(64))
+	wantReads := []uint64{incomingLine, victimLine}
+	if !reflect.DeepEqual(sink.reads, wantReads) || !reflect.DeepEqual(sink.writes, []uint64{victimLine}) {
+		t.Fatalf("evicting install: reads %v, writes %v; want reads %v, writes [%d]",
+			sink.reads, sink.writes, wantReads, victimLine)
 	}
 }
 

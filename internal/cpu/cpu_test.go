@@ -25,12 +25,11 @@ func (s *sliceTrace) Next() (workload.Request, bool) {
 
 // runSystem runs cores and mem to completion the way sim.Run does: a
 // core steps while it is strictly earliest, otherwise memory runs one
-// epoch bounded by the lookahead and the earliest core event.
+// epoch bounded by the earliest core event.
 func runSystem(t *testing.T, cores []*Core, mem *memsim.Memory) {
 	t.Helper()
 	for steps := 0; steps < 50_000_000; steps++ {
-		memNext := mem.NextTime()
-		next, coreMin := memNext, memsim.Infinity
+		next, coreMin := mem.NextTime(), memsim.Infinity
 		var core *Core
 		for _, c := range cores {
 			tt := c.NextTime()
@@ -51,7 +50,7 @@ func runSystem(t *testing.T, cores []*Core, mem *memsim.Memory) {
 		if core != nil {
 			core.Step()
 		} else {
-			mem.RunEpoch(max(min(memNext+mem.Lookahead(), coreMin), memNext+1))
+			mem.RunEpoch(coreMin)
 		}
 	}
 	t.Fatal("system did not terminate")

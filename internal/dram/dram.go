@@ -168,20 +168,3 @@ func (c Config) RowLoc(row uint32) Loc {
 		Row:     r & (c.RowsPerBank - 1),
 	}
 }
-
-// Victims returns the global row ids of the rows within blast-radius
-// distance of the aggressor, clipped at bank boundaries. With blast=2
-// (the paper's default) it returns up to four rows: two on each side.
-func (c Config) Victims(aggressor uint32, blast int) []uint32 {
-	inBank := int(aggressor) & (c.RowsPerBank - 1)
-	victims := make([]uint32, 0, 2*blast)
-	for d := 1; d <= blast; d++ {
-		if inBank-d >= 0 {
-			victims = append(victims, aggressor-uint32(d))
-		}
-		if inBank+d < c.RowsPerBank {
-			victims = append(victims, aggressor+uint32(d))
-		}
-	}
-	return victims
-}

@@ -151,55 +151,6 @@ func TestConsecutiveColumnsSameRow(t *testing.T) {
 	}
 }
 
-func TestVictimsInterior(t *testing.T) {
-	c := Baseline()
-	agg := c.GlobalRow(Loc{Channel: 0, Bank: 2, Row: 1000})
-	v := c.Victims(agg, 2)
-	if len(v) != 4 {
-		t.Fatalf("victims = %v, want 4 rows", v)
-	}
-	want := map[uint32]bool{agg - 2: true, agg - 1: true, agg + 1: true, agg + 2: true}
-	for _, row := range v {
-		if !want[row] {
-			t.Fatalf("unexpected victim %d (aggressor %d)", row, agg)
-		}
-	}
-}
-
-func TestVictimsClippedAtBankEdges(t *testing.T) {
-	c := Baseline()
-	first := c.GlobalRow(Loc{Channel: 0, Bank: 0, Row: 0})
-	if v := c.Victims(first, 2); len(v) != 2 {
-		t.Fatalf("victims at row 0 = %v, want 2 rows", v)
-	}
-	last := c.GlobalRow(Loc{Channel: 0, Bank: 0, Row: c.RowsPerBank - 1})
-	if v := c.Victims(last, 2); len(v) != 2 {
-		t.Fatalf("victims at last row = %v, want 2 rows", v)
-	}
-	second := c.GlobalRow(Loc{Channel: 0, Bank: 0, Row: 1})
-	if v := c.Victims(second, 2); len(v) != 3 {
-		t.Fatalf("victims at row 1 = %v, want 3 rows", v)
-	}
-}
-
-func TestVictimsStayInBank(t *testing.T) {
-	c := Baseline()
-	f := func(raw uint32, blastRaw uint8) bool {
-		row := raw % uint32(c.TotalRows())
-		blast := int(blastRaw%4) + 1
-		bank := int(row) / c.RowsPerBank
-		for _, v := range c.Victims(row, blast) {
-			if int(v)/c.RowsPerBank != bank {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReservedRegionLayout(t *testing.T) {
 	c := Baseline()
 	r := NewReservedRegion(c, 512)

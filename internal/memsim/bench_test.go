@@ -32,19 +32,14 @@ func BenchmarkChannelThroughput(b *testing.B) {
 
 // BenchmarkEpochBarrierSerial drives the epoch engine over a 4-channel
 // bank-parallel read stream at the widest exact horizon and reports the
-// amortized cost of one epoch barrier (per-channel advance plus the
-// deterministic merge of four event buffers) next to the usual ns/op.
+// amortized cost of one epoch (stepping four channels in decision
+// order plus the barrier's replay) next to the usual ns/op.
 func BenchmarkEpochBarrierSerial(b *testing.B) {
 	mem := dram.Baseline()
 	mem.Channels = 4
 	cfg := DefaultConfig(mem)
 	cfg.ReadQCap = 1 << 20
 	m := New(cfg)
-	la := m.Lookahead()
-	run := func() {
-		for t := m.NextTime(); t < Infinity; t = m.RunEpoch(t + la) {
-		}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,10 +48,10 @@ func BenchmarkEpochBarrierSerial(b *testing.B) {
 		r.Kind = ReadReq
 		m.Submit(r)
 		if i%1024 == 1023 {
-			run()
+			drain(m)
 		}
 	}
-	run()
+	drain(m)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.epochs), "ns/epoch")
 }
 

@@ -49,12 +49,6 @@ type channel struct {
 	dispatchAt int64 // earliest next scheduling decision (pacing)
 	openBanks  int64 // banks with an open row (occupancy sampling)
 
-	// events buffers this channel's side effects (completions,
-	// activation-hook calls, refresh trace events) until the epoch
-	// barrier replays them; evHead is the drain cursor. See epoch.go.
-	events []chanEvent
-	evHead int
-
 	stats Stats
 }
 
@@ -198,13 +192,14 @@ func (c *channel) step() {
 		return
 	}
 	from.remove(r, c.bankIdx(r))
+	kind := r.Kind // service may recycle r
 	c.service(r, now)
 	// Pace the next scheduling decision: command bandwidth for
 	// bank-only activations; for data requests, stay a bounded
 	// lookahead ahead of the data bus so queues hold requests the bus
 	// cannot yet serve (realistic occupancy and backpressure).
 	c.dispatchAt = now + cmdGap
-	if r.Kind != MitigAct {
+	if kind != MitigAct {
 		lookahead := c.cfg.Timing.TRP + c.cfg.Timing.TRCD + c.cfg.Timing.TCAS
 		if t := c.busFreeAt - lookahead; t > c.dispatchAt {
 			c.dispatchAt = t
@@ -241,8 +236,8 @@ func (c *channel) applyRefreshes(now int64) {
 			}
 			c.stats.Refreshes++
 			if c.cfg.Trace.Enabled() {
-				c.events = append(c.events, chanEvent{
-					dec: now, t: start, kind: evRefresh, row: uint32(c.id), aux: int64(rank),
+				c.sh.events = append(c.sh.events, chanEvent{
+					t: start, kind: evRefresh, row: uint32(c.id), aux: int64(rank),
 				})
 			}
 			c.nextRef[rank] += c.cfg.Timing.TREFI
@@ -366,8 +361,9 @@ func (c *channel) fawPush(rank int, t int64) {
 	c.fawIdx[rank] = (c.fawIdx[rank] + 1) % 4
 }
 
-// service executes one request, updating bank, bus and statistics, and
-// invoking the activation hook and completion callback.
+// service executes one request, updating bank, bus and statistics,
+// and buffering its completion and activation-hook events. A pooled
+// request without a callback is recycled here.
 func (c *channel) service(r *Request, now int64) {
 	tm := &c.cfg.Timing
 	bi := c.bankIdx(r)
@@ -484,15 +480,19 @@ func (c *channel) service(r *Request, now int64) {
 	}
 	// Side effects are buffered, not invoked: the epoch barrier replays
 	// them (completion before activation hook, as the old synchronous
-	// order had it). Pooled requests recycle when their finish event
-	// drains, so the request pointer stays valid for the callback.
-	if r.OnFinish != nil || r.pooled {
-		c.events = append(c.events, chanEvent{dec: now, t: finish, kind: evFinish, r: r})
+	// order had it). Only a callback needs a completion event; it
+	// recycles a pooled request after the callback, so the pointer
+	// stays valid for it. Any other pooled request recycles now.
+	if r.OnFinish != nil {
+		c.sh.events = append(c.sh.events, chanEvent{t: finish, kind: evFinish, r: r})
 	}
 	if activatedAt >= 0 && c.cfg.OnACT != nil {
-		c.events = append(c.events, chanEvent{
-			dec: now, t: activatedAt, kind: evAct,
+		c.sh.events = append(c.sh.events, chanEvent{
+			t: activatedAt, kind: evAct,
 			row: c.cfg.Mem.GlobalRow(r.loc), rkind: r.Kind,
 		})
+	}
+	if r.pooled && r.OnFinish == nil {
+		c.sh.release(r)
 	}
 }

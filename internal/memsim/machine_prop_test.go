@@ -140,9 +140,10 @@ func genSchedConfig(t *proptest.T, mem dram.Config) Config {
 // schedulerEquivProp drives a generated schedule through the epoch
 // engine and the linear reference under a generated configuration and
 // requires bitwise-identical event logs and Stats. With varyChannels
-// the memory has a drawn 1, 2 or 4 channels, which exercises the
-// barrier merge across channel counts; otherwise it has the baseline's
-// two, and the draws are the ones the committed leapfrog trace replays.
+// the memory has a drawn 1, 2 or 4 channels, which exercises the epoch
+// engine's decision order across channel counts; otherwise it has the
+// baseline's two, and the draws are the ones the committed leapfrog
+// trace replays.
 func schedulerEquivProp(varyChannels bool) func(*proptest.T) {
 	segments := schedSegments()
 	segNames := make([]string, 0, len(segments))
@@ -193,9 +194,9 @@ func compareLogs(t *proptest.T, gotName string, got []schedEvent, wantName strin
 }
 
 // TestEpochEquivalenceMachine is the scheduler machine over drawn
-// channel counts (docs/TESTING.md): the barrier merge of one, two and
-// four channel buffers must reproduce the reference's global event
-// order.
+// channel counts (docs/TESTING.md): stepping one, two or four channels
+// in decision order into one event buffer must reproduce the
+// reference's global event order.
 func TestEpochEquivalenceMachine(t *testing.T) {
 	proptest.Check(t, schedulerEquivProp(true))
 }

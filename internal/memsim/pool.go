@@ -1,12 +1,14 @@
 package memsim
 
 // shared is per-Memory state the channels use in common: the request
-// free list and the global submission counter. seq is global (not per
-// channel) so a recycled request can never collide with a stale aging
-// or starving entry's stamp on another channel.
+// free list, the global submission counter and the epoch's event
+// buffer (epoch.go). seq is global (not per channel) so a recycled
+// request can never collide with a stale aging or starving entry's
+// stamp on another channel.
 type shared struct {
-	seq  int64
-	free []*Request
+	seq    int64
+	free   []*Request
+	events []chanEvent
 }
 
 func (sh *shared) nextSeq() int64 {
@@ -39,18 +41,21 @@ func (sh *shared) get() *Request {
 
 // release returns a serviced pooled request to the free list. The
 // negative seq keeps any stale aging or starving entries pointing at it
-// dead.
+// dead. Within an epoch nothing draws from the free list (only
+// callbacks and callers submit, and they run at the barrier), so a
+// request released at service cannot be reused before the barrier.
 func (sh *shared) release(r *Request) {
 	*r = Request{pooled: true, seq: -1}
 	sh.free = append(sh.free, r)
 }
 
 // NewRequest returns a Request from the memory system's pool. Pooled
-// requests are recycled automatically once serviced — when their
-// completion event drains at the epoch barrier, after OnFinish
-// returns — which keeps steady-state stepping allocation-free; do not
-// retain them afterwards. Requests allocated
-// directly with &Request{} keep working and are simply never recycled.
+// requests are recycled automatically once serviced — a request
+// without OnFinish as soon as the controller serves it, one with
+// OnFinish when its completion replays at the epoch barrier, after the
+// callback returns — which keeps steady-state stepping allocation-free;
+// do not retain them afterwards. Requests allocated directly with
+// &Request{} keep working and are simply never recycled.
 //
 // Ownership: a pooled request belongs to the caller until Submit
 // accepts it. If Submit reports false (queue full), the caller still

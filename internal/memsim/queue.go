@@ -341,10 +341,10 @@ func (q *reqQueue) insertReady(r *Request, bank, openRow int) {
 
 // remove takes a picked request out of its bucket and stamps it
 // served, which lazily deletes any aging/starving entries. A pooled
-// request recycles at the epoch barrier and may resubmit to a
-// different channel while this channel's indexes still hold the old
-// pointer; seqs are global and never reused (pool.go), so the recycled
-// request can never equal a stale entry's stamp.
+// request recycles once served (pool.go) and may resubmit, at a later
+// barrier, to a different channel while this channel's indexes still
+// hold the old pointer; seqs are global and never reused, so the
+// recycled request can never equal a stale entry's stamp.
 func (q *reqQueue) remove(r *Request, bank int) {
 	bk := &q.buckets[bank]
 	bk.remove(r)

@@ -14,7 +14,8 @@ import "repro/internal/obsv"
 // time, firing callbacks at once, with the scheduler's semantic fixes
 // folded in — lowest-seq starvation rescue, tWR/tWTR write timing, meta
 // writes coalesced through the write queue, clamped refresh stagger —
-// so any divergence isolates the indexing or the epoch barrier's merge.
+// so any divergence isolates the indexing or the epoch engine's
+// decision order.
 
 type linChannel struct {
 	cfg *Config
@@ -430,16 +431,18 @@ func (m *linMemory) NextTime() int64 {
 	return t
 }
 
-// Lookahead matches Memory.Lookahead.
-func (m *linMemory) Lookahead() int64 {
-	return m.cfg.Timing.TCAS + m.cfg.Timing.TBURST + m.cfg.StaticLatency
-}
-
-// RunEpoch is the reference for Memory.RunEpoch: it steps the earliest
-// channel (lowest id on ties) one event at a time until every channel's
-// next event is at or past horizon, firing callbacks as each event
-// happens. That is the order the epoch barrier's merge must reproduce.
-func (m *linMemory) RunEpoch(horizon int64) int64 {
+// RunEpoch is the reference for Memory.RunEpoch: under the same
+// horizon clamp it steps the earliest channel (lowest id on ties) one
+// event at a time until every channel's next event is at or past the
+// horizon, firing callbacks as each event happens. That is the order
+// the epoch barrier's replay must reproduce.
+func (m *linMemory) RunEpoch(limit int64) int64 {
+	next := m.NextTime()
+	if next == Infinity {
+		return next
+	}
+	la := m.cfg.Timing.TCAS + m.cfg.Timing.TBURST + m.cfg.StaticLatency
+	horizon := max(min(next+la, limit), next+1)
 	m.epochs++
 	for m.NextTime() < horizon {
 		best := m.channels[0]
@@ -508,8 +511,7 @@ type memLike interface {
 	NewRequest() *Request
 	Submit(*Request) bool
 	NextTime() int64
-	Lookahead() int64
-	RunEpoch(horizon int64) int64
+	RunEpoch(limit int64) int64
 }
 
 // driveStream submits the specs in arrival order, each at its arrival
@@ -531,13 +533,12 @@ type lateSpec struct {
 
 // driveLate submits the specs in submit order, advancing the simulator
 // through every event strictly before each submit time, then drains
-// it, returning the full observable event log. It advances in epochs
-// no wider than the lookahead, clamped at the next submit time, the way
-// sim.Run clamps at the next core event. Requests come from the
-// simulator's NewRequest, so on the indexed side they recycle through
-// the pool at each barrier, possibly onto another channel; a refused
-// request is kept and carries the next spec. afterSubmit, when non-nil,
-// runs after every Submit.
+// it, returning the full observable event log. Each epoch is bounded by
+// the next submit time, the way sim.Run bounds it by the next core
+// event. Requests come from the simulator's NewRequest, so on the
+// indexed side they recycle through the pool, possibly onto another
+// channel; a refused request is kept and carries the next spec.
+// afterSubmit, when non-nil, runs after every Submit.
 func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateSpec, afterSubmit func()) []schedEvent {
 	var events []schedEvent
 	setHook(func(row uint32, kind Kind, at int64) {
@@ -548,7 +549,7 @@ func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateS
 	}
 	advance := func(bound int64) {
 		for t := m.NextTime(); t < bound; {
-			t = m.RunEpoch(min(t+m.Lookahead(), bound))
+			t = m.RunEpoch(bound)
 		}
 	}
 	var r *Request

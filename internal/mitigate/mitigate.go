@@ -17,10 +17,10 @@ import (
 // at distance two.
 const DefaultBlast = 2
 
-// Victims computes neighbour rows, clipped at bank boundaries. It is a
-// standalone copy of the geometry rule so the package stays free of a
-// dram dependency; the simulator uses dram.Config.Victims, which the
-// tests cross-check against this one.
+// Victims returns the rows within blast-radius distance of row, clipped
+// at bank boundaries: with blast 2 (the paper's default) up to four
+// rows, two on each side. It is the one victim-row rule; the simulator,
+// the fault model and the Refresher all call it.
 func Victims(row rh.Row, blast, rowsPerBank int) []rh.Row {
 	inBank := int(row) % rowsPerBank
 	victims := make([]rh.Row, 0, 2*blast)

@@ -2,6 +2,7 @@ package mitigate
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -21,19 +22,52 @@ func smallHydra(t *testing.T) *core.Tracker {
 	return core.MustNew(cfg, rh.NullSink{})
 }
 
-func TestVictimsMatchDramGeometry(t *testing.T) {
-	cfg := dram.Baseline()
-	for _, row := range []uint32{0, 1, 5000, uint32(cfg.RowsPerBank) - 1, uint32(cfg.RowsPerBank)} {
-		want := cfg.Victims(row, 2)
-		got := Victims(rh.Row(row), 2, cfg.RowsPerBank)
-		if len(got) != len(want) {
-			t.Fatalf("row %d: %v vs dram %v", row, got, want)
+func TestVictimsInterior(t *testing.T) {
+	c := dram.Baseline()
+	agg := rh.Row(c.GlobalRow(dram.Loc{Channel: 0, Bank: 2, Row: 1000}))
+	v := Victims(agg, DefaultBlast, c.RowsPerBank)
+	if len(v) != 4 {
+		t.Fatalf("victims = %v, want 4 rows", v)
+	}
+	want := map[rh.Row]bool{agg - 2: true, agg - 1: true, agg + 1: true, agg + 2: true}
+	for _, row := range v {
+		if !want[row] {
+			t.Fatalf("unexpected victim %d (aggressor %d)", row, agg)
 		}
-		for i := range got {
-			if uint32(got[i]) != want[i] {
-				t.Fatalf("row %d: %v vs dram %v", row, got, want)
+	}
+}
+
+func TestVictimsClippedAtBankEdges(t *testing.T) {
+	c := dram.Baseline()
+	first := rh.Row(c.GlobalRow(dram.Loc{Channel: 0, Bank: 0, Row: 0}))
+	if v := Victims(first, DefaultBlast, c.RowsPerBank); len(v) != 2 {
+		t.Fatalf("victims at row 0 = %v, want 2 rows", v)
+	}
+	last := rh.Row(c.GlobalRow(dram.Loc{Channel: 0, Bank: 0, Row: c.RowsPerBank - 1}))
+	if v := Victims(last, DefaultBlast, c.RowsPerBank); len(v) != 2 {
+		t.Fatalf("victims at last row = %v, want 2 rows", v)
+	}
+	second := rh.Row(c.GlobalRow(dram.Loc{Channel: 0, Bank: 0, Row: 1}))
+	if v := Victims(second, DefaultBlast, c.RowsPerBank); len(v) != 3 {
+		t.Fatalf("victims at row 1 = %v, want 3 rows", v)
+	}
+}
+
+func TestVictimsStayInBank(t *testing.T) {
+	c := dram.Baseline()
+	f := func(raw uint32, blastRaw uint8) bool {
+		row := rh.Row(raw % uint32(c.TotalRows()))
+		blast := int(blastRaw%4) + 1
+		bank := int(row) / c.RowsPerBank
+		for _, v := range Victims(row, blast, c.RowsPerBank) {
+			if int(v)/c.RowsPerBank != bank {
+				return false
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -57,8 +57,8 @@ func BenchmarkFullSystemBaseline(b *testing.B) {
 }
 
 // BenchmarkFullSystemHydra4ch is the same cell as
-// BenchmarkFullSystemHydra on four channels: each epoch barrier merges
-// twice as many channel event buffers as on the 2-channel default.
+// BenchmarkFullSystemHydra on four channels: each epoch picks the next
+// decision among twice as many channels as on the 2-channel default.
 func BenchmarkFullSystemHydra4ch(b *testing.B) {
 	cfg := benchConfig("parest")
 	cfg.Mem.Channels = 4

@@ -496,8 +496,8 @@ func (s *System) onACT(row uint32, kind memsim.Kind, at int64) {
 	case MitigateThrottle:
 		s.performThrottle(row, at)
 	default:
-		for _, victim := range s.cfg.Mem.Victims(row, mitigate.DefaultBlast) {
-			loc := s.cfg.Mem.RowLoc(victim)
+		for _, victim := range mitigate.Victims(rh.Row(row), mitigate.DefaultBlast, s.cfg.Mem.RowsPerBank) {
+			loc := s.cfg.Mem.RowLoc(uint32(victim))
 			r := s.mem.NewRequest()
 			r.Line, r.Kind, r.Arrive = s.cfg.Mem.Encode(loc), memsim.MitigAct, at
 			s.mem.Submit(r) // mitigation activations are never refused
@@ -514,7 +514,6 @@ func (s *System) onACT(row uint32, kind memsim.Kind, at int64) {
 // next window reset.
 func (s *System) Run() (Result, error) {
 	const maxSteps = int64(2e9) // hard safety stop
-	lookahead := s.mem.Lookahead()
 	// coreAt caches each core's NextTime. It moves only when that core
 	// steps or when a memory epoch delivers completions (a core's
 	// submissions never call back into a core), so the loop refreshes
@@ -581,24 +580,11 @@ func (s *System) Run() (Result, error) {
 			coreAt[coreNext] = c.NextTime()
 			continue
 		}
-		// Memory epoch: every channel decision strictly before the
-		// horizon runs before the barrier delivers completions and
-		// activation hooks. The lookahead bound keeps core wake-ups
-		// exact (no completion of this epoch lands before the
-		// horizon); the core and reset clamps keep ordering with the
-		// rest of the system. A core tied with memNext degenerates to
-		// a one-cycle epoch — memory still wins the tie.
-		h := memNext + lookahead
-		if coreMin < h {
-			h = coreMin
-		}
-		if s.nextReset < h {
-			h = s.nextReset
-		}
-		if h <= memNext {
-			h = memNext + 1
-		}
-		s.mem.RunEpoch(h)
+		// Memory epoch, bounded by the earliest core event and the next
+		// window reset; RunEpoch adds its own lookahead bound, which
+		// keeps core wake-ups exact. A core tied with memNext
+		// degenerates to a one-cycle epoch — memory still wins the tie.
+		s.mem.RunEpoch(min(coreMin, s.nextReset))
 		for i, c := range s.cores {
 			coreAt[i] = c.NextTime()
 		}
