@@ -3,6 +3,7 @@ package memsim
 import (
 	"math/bits"
 
+	"repro/internal/dram"
 	"repro/internal/obsv"
 )
 
@@ -43,6 +44,7 @@ type channel struct {
 	metaQ  reqQueue
 	writeQ reqQueue
 
+	seq        int64 // submission counter (Request.seq)
 	draining   bool
 	now        int64
 	nextAt     int64
@@ -106,8 +108,14 @@ func newChannel(cfg *Config, sh *shared, id int) *channel {
 	return c
 }
 
-func (c *channel) bankIdx(r *Request) int {
-	return r.loc.Rank*c.cfg.Mem.BanksPerRank + r.loc.Bank
+// globalRow returns the system-wide row a request targets.
+func (c *channel) globalRow(r *Request) uint32 {
+	return c.cfg.Mem.GlobalRow(dram.Loc{
+		Channel: int(r.channel),
+		Rank:    int(r.rank),
+		Bank:    int(r.bank) & (c.cfg.Mem.BanksPerRank - 1),
+		Row:     int(r.row),
+	})
 }
 
 func (c *channel) queueFor(k Kind) *reqQueue {
@@ -136,9 +144,9 @@ func (c *channel) submit(r *Request) bool {
 			return false
 		}
 	}
-	r.seq = c.sh.nextSeq()
-	b := c.bankIdx(r)
-	c.queueFor(r.Kind).add(r, b, c.banks[b].openRow, c.now)
+	c.seq++
+	r.seq = c.seq
+	c.queueFor(r.Kind).add(r, c.banks[r.bank].openRow, c.now)
 	at := r.Arrive
 	if at < c.dispatchAt {
 		at = c.dispatchAt
@@ -157,15 +165,11 @@ func (c *channel) idle() bool {
 }
 
 // promote moves every request that has arrived by now from the future
-// index into its bank bucket.
+// list into its bank bucket.
 func (c *channel) promote(q *reqQueue, now int64) {
-	for {
-		e, ok := q.future.popUpTo(now)
-		if !ok {
-			return
-		}
-		b := c.bankIdx(e.r)
-		q.insertReady(e.r, b, c.banks[b].openRow)
+	for r := q.future.head; r != nil && r.Arrive <= now; r = q.future.head {
+		q.future.unlink(r)
+		q.insertReady(r, c.banks[r.bank].openRow)
 	}
 }
 
@@ -191,7 +195,7 @@ func (c *channel) step() {
 		}
 		return
 	}
-	from.remove(r, c.bankIdx(r))
+	from.remove(r)
 	kind := r.Kind // service may recycle r
 	c.service(r, now)
 	// Pace the next scheduling decision: command bandwidth for
@@ -341,7 +345,7 @@ func (c *channel) frfcfs(q *reqQueue, now int64) *Request {
 			}
 			cand := bk.bestHitFor(bank.openRow)
 			if cand == nil {
-				cand = bk.front()
+				cand = bk.head
 				est += penalty
 			}
 			if best == nil || est < bestEst || (est == bestEst && cand.seq < best.seq) {
@@ -366,7 +370,7 @@ func (c *channel) fawPush(rank int, t int64) {
 // request without a callback is recycled here.
 func (c *channel) service(r *Request, now int64) {
 	tm := &c.cfg.Timing
-	bi := c.bankIdx(r)
+	bi := int(r.bank)
 	b := &c.banks[bi]
 	start := now
 	if b.readyAt > start {
@@ -388,7 +392,7 @@ func (c *channel) service(r *Request, now int64) {
 		if t := b.lastAct + tm.TRC; t > actAt {
 			actAt = t
 		}
-		if t := c.fawReady(r.loc.Rank); t > actAt {
+		if t := c.fawReady(int(r.rank)); t > actAt {
 			actAt = t
 		}
 		b.lastAct = actAt
@@ -397,7 +401,7 @@ func (c *channel) service(r *Request, now int64) {
 			c.rowChanged(bi)
 		}
 		b.readyAt = actAt + tm.TRC
-		c.fawPush(r.loc.Rank, actAt)
+		c.fawPush(int(r.rank), actAt)
 		c.stats.MitigActs++
 		c.stats.Activates++
 		activatedAt = actAt
@@ -405,7 +409,7 @@ func (c *channel) service(r *Request, now int64) {
 	} else {
 		isWrite := r.Kind == WriteReq || r.Kind == MetaWrite
 		var casAt int64
-		if b.openRow == r.loc.Row {
+		if b.openRow == int(r.row) {
 			c.stats.RowHits++
 			casAt = start
 		} else {
@@ -423,13 +427,13 @@ func (c *channel) service(r *Request, now int64) {
 			if t := b.lastAct + tm.TRC; t > actAt {
 				actAt = t
 			}
-			if t := c.fawReady(r.loc.Rank); t > actAt {
+			if t := c.fawReady(int(r.rank)); t > actAt {
 				actAt = t
 			}
 			b.lastAct = actAt
-			b.openRow = r.loc.Row
+			b.openRow = int(r.row)
 			c.rowChanged(bi)
-			c.fawPush(r.loc.Rank, actAt)
+			c.fawPush(int(r.rank), actAt)
 			c.stats.Activates++
 			activatedAt = actAt
 			casAt = actAt + tm.TRCD
@@ -489,7 +493,7 @@ func (c *channel) service(r *Request, now int64) {
 	if activatedAt >= 0 && c.cfg.OnACT != nil {
 		c.sh.events = append(c.sh.events, chanEvent{
 			t: activatedAt, kind: evAct,
-			row: c.cfg.Mem.GlobalRow(r.loc), rkind: r.Kind,
+			row: c.globalRow(r), rkind: r.Kind,
 		})
 	}
 	if r.pooled && r.OnFinish == nil {

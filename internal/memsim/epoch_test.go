@@ -21,10 +21,24 @@ func onFreeList(m *Memory, r *Request) bool {
 // write, metadata read and write, victim refresh) as soon as the
 // controller serves it, so it is already free when the barrier replays
 // the epoch's first completion; a read with OnFinish only after its
-// callback has run.
+// callback has run. Reads left queued beside them — dated into the
+// future, or to one bank the epoch has no time to drain — keep future,
+// bucket and aging lists non-empty, and during and after the barrier
+// no bucket or arrival list may reach a request on the free list
+// (queueListErr).
 func TestServedRequestsRecycleAtServiceOrAfterCallback(t *testing.T) {
 	mem := dram.Baseline()
 	m := New(DefaultConfig(mem))
+	queueRead := func(ch int, row int, arrive int64) {
+		r := m.NewRequest()
+		r.Line, r.Kind, r.Arrive = lineAt(mem, ch, 9, row, 0), ReadReq, arrive
+		m.Submit(r)
+	}
+	for i := 0; i < 6; i++ {
+		queueRead(0, 20+i, 0)
+		queueRead(0, 30+i, 1<<20)
+		queueRead(1, 30+i, 1<<20)
+	}
 	var plain []*Request
 	for i, k := range []Kind{MitigAct, MetaRead, MetaWrite, WriteReq} {
 		r := m.NewRequest()
@@ -49,6 +63,9 @@ func TestServedRequestsRecycleAtServiceOrAfterCallback(t *testing.T) {
 				t.Errorf("served %v request not on the free list when the barrier replays", p.Kind)
 			}
 		}
+		if err := queueListErr(m); err != nil {
+			t.Errorf("during the barrier: %v", err)
+		}
 	}
 	m.Submit(read)
 	m.RunEpoch(Infinity)
@@ -57,6 +74,12 @@ func TestServedRequestsRecycleAtServiceOrAfterCallback(t *testing.T) {
 	}
 	if !onFreeList(m, read) {
 		t.Fatal("read not on the free list after its callback")
+	}
+	if err := queueListErr(m); err != nil {
+		t.Fatalf("after the barrier: %v", err)
+	}
+	if q := &m.channels[0].readQ; q.future.n == 0 || q.aging.n == 0 {
+		t.Fatalf("channel 0 read queue: future %d, aging %d requests left; want both > 0", q.future.n, q.aging.n)
 	}
 }
 

@@ -1,13 +1,11 @@
 package memsim
 
 // Late-submit scheduler equivalence. The scheduler machine submits
-// every request at its arrival time, and across the other memsim tests
-// neither arrival index takes a single out-of-order insert. Real
-// submitters do not behave that way: the activation hook submits
-// metadata transfers and victim refreshes dated at the activation time
-// (already past by the time the barrier replays the hook), and the
-// throttle policy dates demand reads into the future, out of order with
-// each other. This machine generates such schedules — every request
+// every request at its arrival time. Real submitters do not behave
+// that way: the activation hook submits metadata transfers and victim
+// refreshes dated at the activation time (already past by the time the
+// barrier replays the hook), and the throttle policy dates demand reads
+// into the future, out of order with each other. This machine generates such schedules — every request
 // carries a submit time and a separate arrival time — and requires the
 // indexed scheduler on the epoch engine and the linear reference to
 // produce bitwise-identical event logs and statistics. It is a separate machine
@@ -78,23 +76,29 @@ func lateSegments() map[string]lateSegmentFunc {
 	}
 }
 
-// sideInserts counts the submissions that grew a side heap of either
-// arrival index on the indexed scheduler.
-type sideInserts struct{ future, aging int }
+// lateInserts counts the submissions that landed behind the tail of a
+// future list or of an aging list on the indexed scheduler.
+type lateInserts struct{ future, aging int }
 
-// sideLens sums the side-heap lengths of every queue's future and
-// aging index.
-func sideLens(m *Memory) (future, aging int) {
-	for _, c := range m.channels {
-		for _, q := range [...]*reqQueue{&c.mitigQ, &c.readQ, &c.metaQ, &c.writeQ} {
-			future += len(q.future.side)
-			aging += len(q.aging.side)
+// record classifies one accepted submission. Submit leaves r on its
+// queue's future list when it arrives after the channel clock, else on
+// the aging list of an FR-FCFS queue; a successor on that list means r
+// was inserted behind the list's tail.
+func (p *lateInserts) record(m *Memory, r *Request) {
+	c := m.channels[r.channel]
+	switch {
+	case r.Arrive > c.now:
+		if r.anext != nil {
+			p.future++
+		}
+	case c.queueFor(r.Kind).starve:
+		if r.anext != nil {
+			p.aging++
 		}
 	}
-	return future, aging
 }
 
-func lateSubmitProp(probe *sideInserts) func(*proptest.T) {
+func lateSubmitProp(probe *lateInserts) func(*proptest.T) {
 	mem := dram.Baseline()
 	segments := lateSegments()
 	segNames := make([]string, 0, len(segments))
@@ -116,18 +120,15 @@ func lateSubmitProp(probe *sideInserts) func(*proptest.T) {
 
 		cfgA := genSchedConfig(t, mem)
 		idx := New(cfgA)
-		var after func()
+		var after func(*Request, bool)
 		if probe != nil {
-			f0, a0 := sideLens(idx)
-			after = func() {
-				f, a := sideLens(idx)
-				if f > f0 {
-					probe.future++
+			after = func(r *Request, accepted bool) {
+				if accepted {
+					probe.record(idx, r)
 				}
-				if a > a0 {
-					probe.aging++
+				if err := queueListErr(idx); err != nil {
+					t.Fatalf("after submit: %v", err)
 				}
-				f0, a0 = f, a
 			}
 		}
 		got := driveLate(idx, func(h func(uint32, Kind, int64)) { idx.cfg.OnACT = h }, specs, after)
@@ -148,17 +149,19 @@ func TestLateSubmitEquivalenceMachine(t *testing.T) {
 	proptest.Check(t, lateSubmitProp(nil))
 }
 
-// TestLateSubmitMachineReachesSideHeaps pins that the late-submit
+// TestLateSubmitMachineReachesLateInserts pins that the late-submit
 // machine exercises what it exists for: across its generated cases,
-// submissions land in the side heap of the future index (arrivals
-// running backward) and of the aging index (arrivals already in the
-// past). A generator that drifted back to in-order arrivals would pass
-// every equivalence check while testing neither.
-func TestLateSubmitMachineReachesSideHeaps(t *testing.T) {
-	var probe sideInserts
+// submissions land behind the tail of a future list (arrivals running
+// backward) and of an aging list (arrivals already in the past), so the
+// walk back from the tail is tested. A generator that drifted back to
+// in-order arrivals would pass every equivalence check while testing
+// neither. After every submission it also walks every list
+// (queueListErr).
+func TestLateSubmitMachineReachesLateInserts(t *testing.T) {
+	var probe lateInserts
 	proptest.Check(t, lateSubmitProp(&probe))
-	t.Logf("submissions growing a side heap: future %d, aging %d", probe.future, probe.aging)
+	t.Logf("submissions behind a list tail: future %d, aging %d", probe.future, probe.aging)
 	if probe.future == 0 || probe.aging == 0 {
-		t.Fatalf("side-heap inserts: future %d, aging %d; want both > 0", probe.future, probe.aging)
+		t.Fatalf("late inserts: future %d, aging %d; want both > 0", probe.future, probe.aging)
 	}
 }

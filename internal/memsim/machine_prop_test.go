@@ -224,8 +224,9 @@ func TestSchedulerEquivalenceMachine(t *testing.T) {
 // reached the bank bucket first and leapfrogged the earlier-submitted
 // one, while the linear reference broke the tie by submission order —
 // completions diverged. Fixed in bucket.push: an out-of-order
-// promotion now bubbles into seq position, so FR-FCFS/FCFS tie-breaks
-// see submission order no matter when a request left the future heap.
+// promotion now walks back into seq position, so FR-FCFS/FCFS
+// tie-breaks see submission order no matter when a request left the
+// future list.
 // (An earlier fix clamped arrivals to be per-channel monotonic at
 // submit, but that redefined arrival semantics: the throttle policy
 // legitimately submits future-dated requests, and the clamp dragged

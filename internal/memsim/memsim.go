@@ -76,10 +76,22 @@ type Request struct {
 	// from the pool; read User inside the callback, don't retain r.
 	OnFinish func(r *Request, finish int64)
 
-	loc    dram.Loc
-	seq    int64
-	qpos   int32 // index in its bank bucket while queued
-	pooled bool  // recycle into the free list after service
+	seq int64 // submission order within its channel
+
+	// Queue links (queue.go): bprev/bnext thread the request through
+	// its bank bucket once it has arrived, aprev/anext through its
+	// queue's future, aging or starving list.
+	bprev, bnext *Request
+	aprev, anext *Request
+
+	// The decoded address: in-bank row, channel-local bank index
+	// (rank*BanksPerRank + bank), rank and channel.
+	row      int32
+	bank     uint16
+	rank     uint16
+	channel  uint16
+	starving bool // on the starving list rather than the aging one
+	pooled   bool // recycle into the free list after service
 }
 
 // Config parameterizes the memory system.
@@ -209,6 +221,9 @@ func New(cfg Config) *Memory {
 	if cfg.ReadQCap <= 0 || cfg.WriteQCap <= 0 || cfg.DrainHi > cfg.WriteQCap || cfg.DrainLo >= cfg.DrainHi {
 		panic(fmt.Sprintf("memsim: bad queue config %+v", cfg))
 	}
+	if g := cfg.Mem; g.Channels > 1<<16 || g.RanksPerChannel*g.BanksPerRank > 1<<16 || g.RowsPerBank > 1<<31 {
+		panic(fmt.Sprintf("memsim: geometry %+v exceeds the request's address fields", g))
+	}
 	m := &Memory{cfg: cfg}
 	for c := 0; c < cfg.Mem.Channels; c++ {
 		m.channels = append(m.channels, newChannel(&m.cfg, &m.sh, c))
@@ -220,8 +235,12 @@ func New(cfg Config) *Memory {
 // relevant queue is full; the caller must retry later (NextTime will
 // advance as the controller drains).
 func (m *Memory) Submit(r *Request) bool {
-	r.loc = m.cfg.Mem.Decode(r.Line)
-	return m.channels[r.loc.Channel].submit(r)
+	loc := m.cfg.Mem.Decode(r.Line)
+	r.row = int32(loc.Row)
+	r.bank = uint16(loc.Rank*m.cfg.Mem.BanksPerRank + loc.Bank)
+	r.rank = uint16(loc.Rank)
+	r.channel = uint16(loc.Channel)
+	return m.channels[r.channel].submit(r)
 }
 
 // NextTime returns the earliest time any channel can act, or Infinity

@@ -398,3 +398,28 @@ func TestDrainedMemoryIsIdle(t *testing.T) {
 		t.Fatal("drained memory not idle")
 	}
 }
+
+// TestGeometryBeyondRequestFieldsPanics pins that New refuses a
+// geometry whose channel, bank index or row would not fit the
+// Request's narrow address fields, rather than truncate them.
+func TestGeometryBeyondRequestFieldsPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*dram.Config)
+	}{
+		{"channels", func(g *dram.Config) { g.Channels = 1 << 17 }},
+		{"banks", func(g *dram.Config) { g.BanksPerRank = 1 << 17 }},
+		{"rows", func(g *dram.Config) { g.RowsPerBank = 1 << 32 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := dram.Baseline()
+			tc.mod(&mem)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New accepted %+v", mem)
+				}
+			}()
+			New(DefaultConfig(mem))
+		})
+	}
+}

@@ -1,19 +1,10 @@
 package memsim
 
 // shared is per-Memory state the channels use in common: the request
-// free list, the global submission counter and the epoch's event
-// buffer (epoch.go). seq is global (not per channel) so a recycled
-// request can never collide with a stale aging or starving entry's
-// stamp on another channel.
+// free list and the epoch's event buffer (epoch.go).
 type shared struct {
-	seq    int64
 	free   []*Request
 	events []chanEvent
-}
-
-func (sh *shared) nextSeq() int64 {
-	sh.seq++
-	return sh.seq
 }
 
 // poolSlab is how many requests an empty free list refills with in
@@ -39,13 +30,14 @@ func (sh *shared) get() *Request {
 	return r
 }
 
-// release returns a serviced pooled request to the free list. The
-// negative seq keeps any stale aging or starving entries pointing at it
-// dead. Within an epoch nothing draws from the free list (only
-// callbacks and callers submit, and they run at the barrier), so a
-// request released at service cannot be reused before the barrier.
+// release returns a serviced pooled request to the free list. Serving
+// it already unlinked it from every queue list (reqQueue.remove), so
+// no channel holds a pointer to it once it is free. Within an epoch
+// nothing draws from the free list (only callbacks and callers submit,
+// and they run at the barrier), so a request released at service
+// cannot be reused before the barrier.
 func (sh *shared) release(r *Request) {
-	*r = Request{pooled: true, seq: -1}
+	*r = Request{pooled: true}
 	sh.free = append(sh.free, r)
 }
 

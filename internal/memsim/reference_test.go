@@ -1,6 +1,9 @@
 package memsim
 
-import "repro/internal/obsv"
+import (
+	"repro/internal/dram"
+	"repro/internal/obsv"
+)
 
 // This file keeps the original linear-scan scheduler as a reference
 // implementation, and driveStream and driveLate, which feed one request
@@ -73,8 +76,15 @@ func newLinChannel(cfg *Config, id int) *linChannel {
 	return c
 }
 
+// loc decodes a request's address. The reference keeps no decoded
+// fields of its own in the Request; it decodes Line where it needs one.
+func (c *linChannel) loc(r *Request) dram.Loc {
+	return c.cfg.Mem.Decode(r.Line)
+}
+
 func (c *linChannel) bankIdx(r *Request) int {
-	return r.loc.Rank*c.cfg.Mem.BanksPerRank + r.loc.Bank
+	l := c.loc(r)
+	return l.Rank*c.cfg.Mem.BanksPerRank + l.Bank
 }
 
 func (c *linChannel) submit(r *Request) bool {
@@ -261,7 +271,7 @@ func (c *linChannel) frfcfs(q []*Request, now int64) *Request {
 		if est < now {
 			est = now
 		}
-		if b.openRow != r.loc.Row {
+		if b.openRow != c.loc(r).Row {
 			est += c.cfg.Timing.TRP + c.cfg.Timing.TRCD
 		}
 		if best == nil || est < bestEst || (est == bestEst && r.seq < best.seq) {
@@ -292,6 +302,7 @@ func (c *linChannel) fawPush(rank int, t int64) {
 
 func (c *linChannel) service(r *Request, now int64) {
 	tm := &c.cfg.Timing
+	loc := c.loc(r)
 	bi := c.bankIdx(r)
 	b := &c.banks[bi]
 	start := now
@@ -314,13 +325,13 @@ func (c *linChannel) service(r *Request, now int64) {
 		if t := b.lastAct + tm.TRC; t > actAt {
 			actAt = t
 		}
-		if t := c.fawReady(r.loc.Rank); t > actAt {
+		if t := c.fawReady(loc.Rank); t > actAt {
 			actAt = t
 		}
 		b.lastAct = actAt
 		b.openRow = -1
 		b.readyAt = actAt + tm.TRC
-		c.fawPush(r.loc.Rank, actAt)
+		c.fawPush(loc.Rank, actAt)
 		c.stats.MitigActs++
 		c.stats.Activates++
 		activatedAt = actAt
@@ -328,7 +339,7 @@ func (c *linChannel) service(r *Request, now int64) {
 	} else {
 		isWrite := r.Kind == WriteReq || r.Kind == MetaWrite
 		var casAt int64
-		if b.openRow == r.loc.Row {
+		if b.openRow == loc.Row {
 			c.stats.RowHits++
 			casAt = start
 		} else {
@@ -344,12 +355,12 @@ func (c *linChannel) service(r *Request, now int64) {
 			if t := b.lastAct + tm.TRC; t > actAt {
 				actAt = t
 			}
-			if t := c.fawReady(r.loc.Rank); t > actAt {
+			if t := c.fawReady(loc.Rank); t > actAt {
 				actAt = t
 			}
 			b.lastAct = actAt
-			b.openRow = r.loc.Row
-			c.fawPush(r.loc.Rank, actAt)
+			b.openRow = loc.Row
+			c.fawPush(loc.Rank, actAt)
 			c.stats.Activates++
 			activatedAt = actAt
 			casAt = actAt + tm.TRCD
@@ -397,7 +408,7 @@ func (c *linChannel) service(r *Request, now int64) {
 		r.OnFinish(r, finish)
 	}
 	if activatedAt >= 0 && c.cfg.OnACT != nil {
-		c.cfg.OnACT(c.cfg.Mem.GlobalRow(r.loc), r.Kind, activatedAt)
+		c.cfg.OnACT(c.cfg.Mem.GlobalRow(loc), r.Kind, activatedAt)
 	}
 }
 
@@ -417,8 +428,7 @@ func newLinMemory(cfg Config) *linMemory {
 }
 
 func (m *linMemory) Submit(r *Request) bool {
-	r.loc = m.cfg.Mem.Decode(r.Line)
-	return m.channels[r.loc.Channel].submit(r)
+	return m.channels[m.cfg.Mem.Decode(r.Line).Channel].submit(r)
 }
 
 func (m *linMemory) NextTime() int64 {
@@ -538,8 +548,9 @@ type lateSpec struct {
 // event. Requests come from the simulator's NewRequest, so on the
 // indexed side they recycle through the pool, possibly onto another
 // channel; a refused request is kept and carries the next spec.
-// afterSubmit, when non-nil, runs after every Submit.
-func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateSpec, afterSubmit func()) []schedEvent {
+// afterSubmit, when non-nil, runs after every Submit with the request
+// and whether Submit accepted it.
+func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateSpec, afterSubmit func(*Request, bool)) []schedEvent {
 	var events []schedEvent
 	setHook(func(row uint32, kind Kind, at int64) {
 		events = append(events, schedEvent{row: row, kind: kind, t: at})
@@ -559,13 +570,15 @@ func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateS
 			r = m.NewRequest()
 		}
 		r.Line, r.Kind, r.Arrive, r.User, r.OnFinish = sp.line, sp.kind, sp.arrive, int64(i), onFin
-		if m.Submit(r) {
-			r = nil
-		} else {
+		accepted := m.Submit(r)
+		if !accepted {
 			events = append(events, schedEvent{refuse: true, id: int64(i)})
 		}
 		if afterSubmit != nil {
-			afterSubmit()
+			afterSubmit(r, accepted)
+		}
+		if accepted {
+			r = nil
 		}
 	}
 	advance(Infinity)

@@ -87,17 +87,17 @@ func TestStarvingPickUsesSubmissionOrder(t *testing.T) {
 	// r1 was submitted first (lower seq) but arrived later than r2.
 	r1 := &Request{seq: 5, Arrive: 10}
 	r2 := &Request{seq: 7, Arrive: 0}
-	q.insertReady(r2, 0, -1)
-	q.insertReady(r1, 0, -1)
+	q.insertReady(r2, -1)
+	q.insertReady(r1, -1)
 	now := int64(10 + starvationAge + 1) // both past the age bound
 	if got := q.starvingPick(now); got != r1 {
 		t.Fatalf("starving pick = %+v, want the oldest submission r1", got)
 	}
-	q.remove(r1, 0)
+	q.remove(r1)
 	if got := q.starvingPick(now); got != r2 {
 		t.Fatalf("after serving r1, starving pick = %+v, want r2", got)
 	}
-	q.remove(r2, 0)
+	q.remove(r2)
 	if got := q.starvingPick(now); got != nil {
 		t.Fatalf("empty queue starving pick = %+v", got)
 	}
@@ -179,12 +179,9 @@ func TestSteadyStateStepIsAllocationFree(t *testing.T) {
 		}
 		drain(m)
 	}
-	// Warm up the pool, buckets and heaps. Several rounds are needed:
-	// the starvation aging heap holds a backlog spanning starvationAge
-	// cycles, which takes a few rounds to reach steady capacity.
-	for n := 0; n < 8; n++ {
-		round()
-	}
+	// Warm up the free list; the queues thread through the requests
+	// and have nothing to grow.
+	round()
 	if avg := testing.AllocsPerRun(10, round); avg != 0 {
 		t.Fatalf("steady-state step loop allocates %.1f times per round, want 0", avg)
 	}

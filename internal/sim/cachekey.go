@@ -29,9 +29,12 @@ import (
 // engine; docs/PERFORMANCE.md). Tracker feedback — victim refreshes and
 // metadata traffic — enters the queues up to one controller lookahead
 // (~a hundred cycles) later than under the old per-event interleaving,
-// shifting results for every configuration with a tracker. The Parallel
-// knob itself is NOT hashed: parallel and serial execution compute
-// bitwise-identical results, so cached cells are shared across modes.
+// shifting results for every configuration with a tracker. The v4
+// engine also had a Parallel knob, left out of the hash because
+// parallel and serial execution computed bitwise-identical results;
+// the channel fan-out and its knob were deleted later (CHANGES.md, the
+// one-memory-engine change), and the channels now always step on the
+// caller's goroutine.
 // v5: Graphene, DAPPER and START replace the entry listed last at the
 // spillover floor; the victim used to be whichever entry Go's map order
 // produced, so a cell whose table filled computed a different result on

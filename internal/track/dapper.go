@@ -118,7 +118,7 @@ func (d *DAPPER) MetaRows() int { return 0 }
 // ResetWindow implements rh.Tracker.
 func (d *DAPPER) ResetWindow() {
 	for i := range d.banks {
-		d.banks[i] = newGrapheneBank(d.perBank)
+		d.banks[i].reset()
 	}
 }
 
@@ -131,9 +131,5 @@ func (d *DAPPER) SRAMBytes() int {
 
 // EstimatedCount returns the tracker's estimate for a row (for tests).
 func (d *DAPPER) EstimatedCount(row rh.Row) int {
-	b := &d.banks[d.geom.bank(row)]
-	if e, ok := b.entries[row]; ok {
-		return e.count
-	}
-	return b.spillover
+	return d.banks[d.geom.bank(row)].estimate(row)
 }

@@ -38,18 +38,25 @@ type Graphene struct {
 	Mitigations int64
 }
 
+// grapheneEntry is one resident row of a Misra-Gries table.
 type grapheneEntry struct {
 	row       rh.Row
+	pos       int32 // index in the bank's byCount[count] list
 	count     int
 	lastMitig int // estimate at the last mitigation
-	pos       int // index in the bank's byCount[count] list
 }
 
 // grapheneBank is one Misra-Gries table: Graphene keeps one per bank,
 // DAPPER likewise, and START pools one for the whole controller.
+// Entries live in one slab and are named by slot; slotOf maps a row to
+// its slot and holds no pointers, so the garbage collector never scans
+// it. A count whose list empties hands the list's backing array to the
+// next count that needs one.
 type grapheneBank struct {
-	entries   map[rh.Row]*grapheneEntry
-	byCount   map[int][]*grapheneEntry // count -> resident entries at that count
+	slots     []grapheneEntry
+	slotOf    map[rh.Row]int32
+	byCount   map[int][]int32 // count -> slots resident at that count
+	spare     [][]int32       // emptied lists' backing arrays
 	spillover int
 	capacity  int
 }
@@ -80,8 +87,8 @@ func NewGraphene(geom Geometry, trh int) (*Graphene, error) {
 
 func newGrapheneBank(capacity int) grapheneBank {
 	return grapheneBank{
-		entries:  make(map[rh.Row]*grapheneEntry),
-		byCount:  make(map[int][]*grapheneEntry),
+		slotOf:   make(map[rh.Row]int32),
+		byCount:  make(map[int][]int32),
 		capacity: capacity,
 	}
 }
@@ -91,15 +98,16 @@ func newGrapheneBank(capacity int) grapheneBank {
 // mitigation, which update then records; replaced reports that the row
 // took over the entry listed last at the spillover floor.
 func (b *grapheneBank) update(row rh.Row, cut int) (mitigate, replaced bool) {
-	e := b.entries[row]
+	s, ok := b.slotOf[row]
 	switch {
-	case e != nil:
-		b.unlist(e)
-		b.list(e, e.count+1)
-	case len(b.entries) < b.capacity:
-		e = &grapheneEntry{row: row}
-		b.entries[row] = e
-		b.list(e, 1)
+	case ok:
+		b.unlist(s)
+		b.list(s, b.slots[s].count+1)
+	case len(b.slots) < b.capacity:
+		s = int32(len(b.slots))
+		b.slots = append(b.slots, grapheneEntry{row: row})
+		b.slotOf[row] = s
+		b.list(s, 1)
 		return false, false
 	default:
 		// Table full: replace a row stranded at the floor, or raise the
@@ -110,15 +118,16 @@ func (b *grapheneBank) update(row rh.Row, cut int) (mitigate, replaced bool) {
 			b.spillover++
 			return false, false
 		}
-		e = floor[len(floor)-1]
-		b.unlist(e)
-		delete(b.entries, e.row)
-		e.row = row
-		e.lastMitig = b.spillover
-		b.entries[row] = e
-		b.list(e, b.spillover+1)
+		s = floor[len(floor)-1]
+		b.unlist(s)
+		delete(b.slotOf, b.slots[s].row)
+		b.slots[s].row = row
+		b.slots[s].lastMitig = b.spillover
+		b.slotOf[row] = s
+		b.list(s, b.spillover+1)
 		replaced = true
 	}
+	e := &b.slots[s]
 	if e.count-e.lastMitig < cut {
 		return false, replaced
 	}
@@ -126,26 +135,53 @@ func (b *grapheneBank) update(row rh.Row, cut int) (mitigate, replaced bool) {
 	return true, replaced
 }
 
-// list appends e to the resident list of count.
-func (b *grapheneBank) list(e *grapheneEntry, count int) {
-	e.count = count
+// list appends slot s to the resident list of count.
+func (b *grapheneBank) list(s int32, count int) {
 	set := b.byCount[count]
-	e.pos = len(set)
-	b.byCount[count] = append(set, e)
+	if set == nil && len(b.spare) > 0 {
+		set = b.spare[len(b.spare)-1]
+		b.spare = b.spare[:len(b.spare)-1]
+	}
+	b.slots[s].count = count
+	b.slots[s].pos = int32(len(set))
+	b.byCount[count] = append(set, s)
 }
 
-// unlist swap-removes e from the resident list of its count.
-func (b *grapheneBank) unlist(e *grapheneEntry) {
+// unlist swap-removes slot s from the resident list of its count.
+func (b *grapheneBank) unlist(s int32) {
+	e := &b.slots[s]
 	set := b.byCount[e.count]
 	n := len(set) - 1
 	if n == 0 {
 		delete(b.byCount, e.count)
+		b.spare = append(b.spare, set[:0])
 		return
 	}
 	last := set[n]
-	set[e.pos], last.pos = last, e.pos
-	set[n] = nil
+	set[e.pos] = last
+	b.slots[last].pos = e.pos
 	b.byCount[e.count] = set[:n]
+}
+
+// estimate returns a row's entry count when resident, the spillover
+// floor otherwise. It never undercounts the row's true count.
+func (b *grapheneBank) estimate(row rh.Row) int {
+	if s, ok := b.slotOf[row]; ok {
+		return b.slots[s].count
+	}
+	return b.spillover
+}
+
+// reset empties the table in place for a new window, keeping the slab,
+// both maps and every list's backing array for reuse.
+func (b *grapheneBank) reset() {
+	for _, set := range b.byCount {
+		b.spare = append(b.spare, set[:0])
+	}
+	clear(b.byCount)
+	clear(b.slotOf)
+	b.slots = b.slots[:0]
+	b.spillover = 0
 }
 
 // MustNewGraphene is NewGraphene for statically valid parameters.
@@ -184,7 +220,7 @@ func (g *Graphene) MetaRows() int { return 0 }
 // ResetWindow implements rh.Tracker.
 func (g *Graphene) ResetWindow() {
 	for i := range g.banks {
-		g.banks[i] = newGrapheneBank(g.perBank)
+		g.banks[i].reset()
 	}
 }
 
@@ -199,9 +235,5 @@ func (g *Graphene) SRAMBytes() int {
 // count when resident, the spillover floor otherwise. The estimate
 // never undercounts the true count.
 func (g *Graphene) EstimatedCount(row rh.Row) int {
-	b := &g.banks[g.geom.bank(row)]
-	if e, ok := b.entries[row]; ok {
-		return e.count
-	}
-	return b.spillover
+	return g.banks[g.geom.bank(row)].estimate(row)
 }

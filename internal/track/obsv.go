@@ -46,7 +46,7 @@ func (s *START) CollectInto(r *obsv.Registry) {
 	r.Count("start.mitigations", s.Mitigations)
 	r.Count("tracker.mitigations", s.Mitigations)
 	r.Gauge("start.spillover", float64(s.pool.spillover))
-	r.Gauge("start.occupancy", float64(len(s.pool.entries)))
+	r.Gauge("start.occupancy", float64(len(s.pool.slots)))
 }
 
 // CollectInto implements obsv.Source.

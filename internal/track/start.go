@@ -134,7 +134,7 @@ func (s *START) MetaRows() int { return 0 }
 
 // ResetWindow implements rh.Tracker.
 func (s *START) ResetWindow() {
-	s.pool = newGrapheneBank(s.capacity)
+	s.pool.reset()
 }
 
 // SRAMBytes implements rh.Tracker: the LLC bytes borrowed for the
@@ -154,8 +154,5 @@ func (s *START) Spillover() int { return s.pool.spillover }
 // count when resident, the spillover floor otherwise. The estimate
 // never undercounts the true count.
 func (s *START) EstimatedCount(row rh.Row) int {
-	if e, ok := s.pool.entries[row]; ok {
-		return e.count
-	}
-	return s.pool.spillover
+	return s.pool.estimate(row)
 }

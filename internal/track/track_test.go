@@ -499,13 +499,8 @@ func TestMisraGriesVictimIsReproducible(t *testing.T) {
 		}},
 	}
 	probe := func(tr rh.Tracker, capacity int) []int {
-		rng := rand.New(rand.NewSource(7))
 		var mitigs []int
-		for i := 0; i < 20000; i++ {
-			row := rh.Row(i % (capacity + 1))
-			if rng.Intn(4) == 0 {
-				row = rh.Row(rng.Intn(geom.RowsPerBank))
-			}
+		for i, row := range misraGriesProbeRows(capacity, geom.RowsPerBank) {
 			if tr.Activate(row) {
 				mitigs = append(mitigs, i, int(row))
 			}
@@ -524,6 +519,22 @@ func TestMisraGriesVictimIsReproducible(t *testing.T) {
 			}
 		}
 	}
+}
+
+// misraGriesProbeRows is the activation sequence of
+// TestMisraGriesVictimIsReproducible: capacity+1 rows round-robin, a
+// quarter of the accesses replaced by random rows of the first
+// rowsPerBank, so a full table keeps replacing entries at the floor.
+func misraGriesProbeRows(capacity, rowsPerBank int) []rh.Row {
+	rng := rand.New(rand.NewSource(7))
+	rows := make([]rh.Row, 20000)
+	for i := range rows {
+		rows[i] = rh.Row(i % (capacity + 1))
+		if rng.Intn(4) == 0 {
+			rows[i] = rh.Row(rng.Intn(rowsPerBank))
+		}
+	}
+	return rows
 }
 
 // logSink records metadata traffic in order: offset*2 for a read,
