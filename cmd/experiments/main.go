@@ -27,20 +27,15 @@
 //	-cell-timeout D   wall-clock budget per sweep cell (0 = unbounded)
 //	-stall-timeout D  kill cells whose simulated-cycle counter stalls
 //	                  this long (0 = no watchdog)
-//	-retries N        retry failed cells with a perturbed seed
 //	-chaos a,b        restrict the chaos target to the named scenarios
 //	-cache-dir DIR    persist the content-addressed result cache to DIR
 //	                  (schema hydra-cell-cache/v1) so identical cells
 //	                  replay across invocations; rerunning an
-//	                  interrupted campaign over the same DIR resumes it
-//	-cache-max-bytes N  byte budget for -cache-dir: least-recently-used
-//	                  entries are evicted until the tier fits (0 =
-//	                  unbounded; corrupt entries quarantine regardless)
+//	                  interrupted or partly failed campaign over the
+//	                  same DIR recomputes only the missing cells
 //	-no-cache         disable result caching entirely (every cell
 //	                  simulates; the default keeps an in-memory cache
 //	                  that dedupes identical cells across targets)
-//	-costs-from FILE  seed the longest-first scheduler with per-cell
-//	                  wall-clock costs from a prior run report
 //	-listen ADDR      serve live telemetry on ADDR (":0" = ephemeral):
 //	                  /metrics, /metrics.json, /events, /healthz,
 //	                  /debug/pprof — see docs/METRICS.md
@@ -95,12 +90,9 @@ func run(ctx context.Context, args []string) error {
 	traceCap := fs.Int("trace-cap", 1<<20, "event-trace ring capacity")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock budget per sweep cell (0 = unbounded)")
 	stallTimeout := fs.Duration("stall-timeout", 0, "kill cells stalled this long (0 = no watchdog)")
-	retries := fs.Int("retries", 0, "retry failed cells with a perturbed seed")
 	chaos := fs.String("chaos", "", "comma-separated chaos scenarios (default: all built-ins)")
 	cacheDir := fs.String("cache-dir", "", "persist the result cache to this directory across runs")
-	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "byte budget for -cache-dir; least-recently-used entries are evicted (0 = unbounded)")
 	noCache := fs.Bool("no-cache", false, "disable result caching (simulate every cell)")
-	costsFrom := fs.String("costs-from", "", "seed scheduler cell costs from this prior run report")
 	listen := fs.String("listen", "", "serve live telemetry (/metrics, /events, pprof) on this address")
 	progress := fs.Bool("progress", false, "render a live campaign progress line on stderr")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile")
@@ -116,7 +108,6 @@ func run(ctx context.Context, args []string) error {
 		Seed:         seed,
 		CellTimeout:  *cellTimeout,
 		StallTimeout: *stallTimeout,
-		Retries:      *retries,
 		Ctx:          ctx,
 	}
 	if *workloads != "" {
@@ -135,26 +126,9 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		cache.Decode = exp.DecodeResult
-		if *cacheMaxBytes > 0 {
-			if *cacheDir == "" {
-				return cli.Usagef("-cache-max-bytes needs -cache-dir (the in-memory tier is unbudgeted)")
-			}
-			cache.SetMaxBytes(*cacheMaxBytes)
-		}
 		opts.Cache = cache
 	} else if *cacheDir != "" {
 		return cli.Usagef("-no-cache and -cache-dir are mutually exclusive")
-	}
-	if *costsFrom != "" {
-		if opts.Cache == nil {
-			return cli.Usagef("-costs-from needs the result cache (drop -no-cache)")
-		}
-		costs, err := readCellCosts(*costsFrom)
-		if err != nil {
-			return err
-		}
-		opts.Cache.SeedCosts(costs)
-		fmt.Printf("[seeded %d cell costs from %s]\n", len(costs), *costsFrom)
 	}
 	var sweepTRH []int
 	if *thresholds != "" {
@@ -242,9 +216,6 @@ func run(ctx context.Context, args []string) error {
 			if s.CorruptDropped > 0 {
 				fmt.Printf(", %d corrupt entries dropped (%d quarantined)", s.CorruptDropped, s.Quarantined)
 			}
-			if s.Evicted > 0 {
-				fmt.Printf(", %d evicted", s.Evicted)
-			}
 			fmt.Println("]")
 		}
 	}
@@ -260,33 +231,6 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	return stopProfiles()
-}
-
-// readCellCosts extracts per-cell wall-clock costs from a prior run
-// report: every cell that actually simulated (cached replays carry no
-// timing signal) contributes its ElapsedSec under its key; across
-// reports the largest observation wins — the conservative prior for
-// longest-first scheduling.
-func readCellCosts(path string) (map[string]time.Duration, error) {
-	f, err := obsv.ReadReportFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("costs-from: %w", err)
-	}
-	costs := map[string]time.Duration{}
-	for _, r := range f.Reports {
-		for _, c := range r.Cells {
-			if c.Status == obsv.CellCached || c.ElapsedSec <= 0 {
-				continue
-			}
-			if d := time.Duration(c.ElapsedSec * float64(time.Second)); d > costs[c.Key] {
-				costs[c.Key] = d
-			}
-		}
-	}
-	if len(costs) == 0 {
-		return nil, fmt.Errorf("costs-from: no timed cells in %s", path)
-	}
-	return costs, nil
 }
 
 // writeTrace dumps the event ring as JSONL.

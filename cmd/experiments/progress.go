@@ -57,14 +57,10 @@ func startProgress(bus *harness.Bus) (stop func()) {
 			case harness.EvQueued:
 				queued++
 			case harness.EvStarted:
-				if e.Attempt == 0 {
-					running++
-				}
+				running++
 				last = e.Key
 			case harness.EvProgress:
 				last = fmt.Sprintf("%s %d Mcyc", e.Key, e.Cycles/1e6)
-			case harness.EvRetried:
-				last = fmt.Sprintf("%s retry %d", e.Key, e.Attempt)
 			case harness.EvCached:
 				cached++
 			case harness.EvDone:

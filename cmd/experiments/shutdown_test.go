@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/obsv"
 )
@@ -98,16 +99,24 @@ func TestInterruptResumesIdentically(t *testing.T) {
 		t.Errorf("interrupted run left a report file (stat err %v); reports must be all-or-nothing", err)
 	}
 
-	// The surviving cache must reopen clean and non-empty.
+	// The surviving cache must be non-empty, and every entry in it must
+	// read back whole: a lookup quarantines a torn entry.
 	cache, err := harness.NewCellCache(cacheDir)
 	if err != nil {
 		t.Fatalf("cache after SIGINT: %v", err)
 	}
+	cache.Decode = exp.DecodeResult
+	survivors := entries()
+	if len(survivors) == 0 {
+		t.Fatal("cache after SIGINT holds no cells")
+	}
+	for _, name := range survivors {
+		if _, ok := cache.Lookup(strings.TrimSuffix(filepath.Base(name), ".json")); !ok {
+			t.Errorf("cache entry %s after SIGINT does not replay", filepath.Base(name))
+		}
+	}
 	if s := cache.Stats(); s.CorruptDropped != 0 || s.Quarantined != 0 {
 		t.Fatalf("cache after SIGINT held corrupt entries: %+v", s)
-	}
-	if len(entries()) == 0 {
-		t.Fatal("cache after SIGINT holds no cells")
 	}
 
 	// Resume: same command, must replay from the cache and finish.

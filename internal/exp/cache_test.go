@@ -3,7 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obsv"
@@ -156,7 +155,7 @@ func TestPerfReportMarksBaselineMissing(t *testing.T) {
 	if hash == "" {
 		t.Fatal("baseline cell has no content hash")
 	}
-	if err := o.Cache.Store(hash, "bm/baseline/parest", sim.Result{Cycles: 0}, time.Millisecond); err != nil {
+	if err := o.Cache.Store(hash, "bm/baseline/parest", sim.Result{Cycles: 0}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -144,7 +144,7 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 				// the default T_RH=500 inside two windows — otherwise a
 				// genuine guarantee break could go unobserved.
 				cfg.WindowCycles = 2_000_000
-				cfg.Seed = o.seed() + uint64(env.Attempt)*0x9e3779b9
+				cfg.Seed = o.seed()
 				cfg.Attack = &sim.AttackSpec{
 					Rows: []uint32{victim - 1, victim + 1}, // double-sided
 					Acts: 60000,
@@ -183,7 +183,6 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 		Workers:      o.Parallelism,
 		CellTimeout:  o.CellTimeout,
 		StallTimeout: o.StallTimeout,
-		Retries:      o.Retries,
 	})
 	if err != nil {
 		return nil, err
@@ -192,7 +191,6 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 	for _, r := range hres {
 		st := obsv.CellStatus{
 			Key:        r.Key,
-			Attempts:   r.Attempts,
 			Panicked:   r.Panicked,
 			Stalled:    r.Stalled,
 			ElapsedSec: r.Elapsed.Seconds(),

@@ -57,16 +57,12 @@ type Options struct {
 	// StallTimeout kills cells whose simulated-cycle counter stops
 	// advancing for this long (0 disables the watchdog).
 	StallTimeout time.Duration
-	// Retries re-runs failed cells up to this many extra times with a
-	// perturbed seed (see harness.Env.Attempt).
-	Retries int
 	// Cache, when non-nil, memoizes cell results by content-addressed
 	// config hash (sim.Config.CacheKey): identical cells across targets
 	// of one process — e.g. the non-secure baseline every figure
 	// re-simulates — run once and replay everywhere else, and with a
 	// disk-backed cache across invocations too, which is how an
-	// interrupted campaign resumes. The recorded per-cell wall-clock
-	// also drives longest-first campaign scheduling.
+	// interrupted campaign resumes and a failed cell is recomputed.
 	Cache *harness.CellCache
 	// Bus, when non-nil, receives a hydra-cell-event/v1 CellEvent for
 	// every cell lifecycle transition, tagged with scheme, workload and
@@ -194,13 +190,12 @@ func cellIdentity(o Options, p workload.Profile, v Variant) (hash string, est fl
 	return hash, estCost(cfg)
 }
 
-// estCost is the static fallback cost model for LPT scheduling when
-// the cache has never timed a cell: simulated work is roughly cores ×
-// effective window length, weighted by how expensive the tracker makes
-// each activation (CRA's memory-resident counters dominate; Hydra adds
-// RCT traffic only past the GCT threshold). Scaled to pseudo-seconds
-// at a nominal 3.2 GHz core so the numbers mix with recorded
-// wall-clock; only the ordering matters.
+// estCost is the static cost model for LPT scheduling: simulated work
+// is roughly cores × effective window length, weighted by how expensive
+// the tracker makes each activation (CRA's memory-resident counters
+// dominate; Hydra adds RCT traffic only past the GCT threshold). Scaled
+// to pseudo-seconds at a nominal 3.2 GHz core; only the ordering
+// matters.
 func estCost(cfg sim.Config) float64 {
 	window := float64(cfg.WindowCycles)
 	if window <= 0 {
@@ -254,7 +249,7 @@ func (o Options) liveObserver() func(harness.CellResult) {
 // a resilient harness campaign and returns results[variant][workload]
 // plus the per-cell verdicts and the cache traffic attributable to
 // this campaign (zero when o.Cache is nil). A cell failure (error,
-// panic, watchdog kill, timeout — after retries) does not fail the
+// panic, watchdog kill, timeout) does not fail the
 // matrix: the entry is simply absent from the result maps and its
 // CellStatus records the error. Callers decide how much of the matrix
 // they require.
@@ -270,11 +265,7 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 	for _, v := range variants {
 		for _, p := range profiles {
 			v, p := v, p
-			var hash string
-			var est float64
-			if o.Cache != nil {
-				hash, est = cellIdentity(o, p, v)
-			}
+			hash, est := cellIdentity(o, p, v)
 			cells = append(cells, harness.Cell{
 				Key:      o.target() + "/" + v.Name + "/" + p.Name,
 				CacheKey: hash,
@@ -288,9 +279,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 				Run: func(ctx context.Context, env harness.Env) (any, error) {
 					cfg := o.baseConfig(p)
 					v.Mutate(&cfg)
-					// Reseed retries so a seed-dependent corner case is
-					// not replayed verbatim.
-					cfg.Seed += uint64(env.Attempt) * 0x9e3779b9
 					cfg.Ctx = ctx
 					cfg.Progress = env.Progress
 					if o.Trace != nil {
@@ -313,7 +301,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 		Workers:      o.Parallelism,
 		CellTimeout:  o.CellTimeout,
 		StallTimeout: o.StallTimeout,
-		Retries:      o.Retries,
 		Cache:        o.Cache,
 		Bus:          o.Bus,
 		OnCellDone:   o.liveObserver(),
@@ -339,7 +326,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 			i++
 			st := obsv.CellStatus{
 				Key:        r.Key,
-				Attempts:   r.Attempts,
 				Panicked:   r.Panicked,
 				Stalled:    r.Stalled,
 				ElapsedSec: r.Elapsed.Seconds(),

@@ -100,9 +100,6 @@ func (r *PerfReport) runReport(out *obsv.Report) {
 		if c.StoreErrors > 0 {
 			counter("cache.store_errors", c.StoreErrors, "entries")
 		}
-		if c.Evicted > 0 {
-			counter("cache.evicted", c.Evicted, "entries")
-		}
 		if c.Quarantined > 0 {
 			counter("cache.quarantined", c.Quarantined, "entries")
 		}

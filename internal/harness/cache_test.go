@@ -8,7 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/iofault"
 )
 
 // cacheVal mirrors the harness contract: values cross as `any` and
@@ -33,19 +34,12 @@ func TestCellCacheMemoryTier(t *testing.T) {
 	if _, ok := c.Lookup("h1"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if err := c.Store("h1", "k1", cacheVal{N: 7}, 3*time.Second); err != nil {
+	if err := c.Store("h1", "k1", cacheVal{N: 7}); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := c.Lookup("h1")
 	if !ok || v.(cacheVal).N != 7 {
 		t.Fatalf("Lookup = %v, %v; want {7}, true", v, ok)
-	}
-	if d, ok := c.Cost("h1", "k1"); !ok || d != 3*time.Second {
-		t.Fatalf("Cost = %v, %v; want 3s, true", d, ok)
-	}
-	// Cost by cell key alone: the right prior when knobs changed.
-	if d, ok := c.Cost("other-hash", "k1"); !ok || d != 3*time.Second {
-		t.Fatalf("Cost by key = %v, %v; want 3s, true", d, ok)
 	}
 	s := c.Stats()
 	if s.Hits != 1 || s.MemHits != 1 || s.Misses != 1 || s.Stores != 1 {
@@ -60,23 +54,19 @@ func TestCellCacheDiskTierSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Decode = decodeCacheVal
-	if err := c1.Store("hash-a", "key-a", cacheVal{N: 42}, 2*time.Second); err != nil {
+	if err := c1.Store("hash-a", "key-a", cacheVal{N: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if c1.Stats().BytesWritten == 0 {
 		t.Fatal("disk store wrote no bytes")
 	}
 
-	// A fresh instance over the same directory replays the entry and
-	// already knows its cost for scheduling.
+	// A fresh instance over the same directory replays the entry.
 	c2, err := NewCellCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2.Decode = decodeCacheVal
-	if d, ok := c2.Cost("", "key-a"); !ok || d != 2*time.Second {
-		t.Fatalf("preloaded cost = %v, %v; want 2s, true", d, ok)
-	}
 	v, ok := c2.Lookup("hash-a")
 	if !ok || v.(cacheVal).N != 42 {
 		t.Fatalf("disk lookup = %v, %v; want {42}, true", v, ok)
@@ -101,7 +91,7 @@ func TestCellCacheWithoutDecodeSkipsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Decode = decodeCacheVal
-	if err := c1.Store("h", "k", cacheVal{N: 1}, time.Second); err != nil {
+	if err := c1.Store("h", "k", cacheVal{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := NewCellCache(dir)
@@ -126,7 +116,7 @@ func TestCellCacheCorruptEntriesDiscarded(t *testing.T) {
 	}
 	seed.Decode = decodeCacheVal
 	for _, h := range []string{"trunc", "garbage", "wronghash", "wrongschema", "badvalue"} {
-		if err := seed.Store(h, "k-"+h, cacheVal{N: 9}, time.Second); err != nil {
+		if err := seed.Store(h, "k-"+h, cacheVal{N: 9}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,9 +128,9 @@ func TestCellCacheCorruptEntriesDiscarded(t *testing.T) {
 	corrupt := map[string][]byte{
 		"trunc":       full[:len(full)/2],
 		"garbage":     []byte("\x00\xffnot json at all"),
-		"wronghash":   []byte(`{"schema":"hydra-cell-cache/v1","hash":"someone-else","key":"k","cost_ns":1,"value":{"n":1}}`),
-		"wrongschema": []byte(`{"schema":"hydra-cell-cache/v999","hash":"wrongschema","key":"k","cost_ns":1,"value":{"n":1}}`),
-		"badvalue":    []byte(`{"schema":"hydra-cell-cache/v1","hash":"badvalue","key":"k","cost_ns":1,"value":"not-an-object"}`),
+		"wronghash":   []byte(`{"schema":"hydra-cell-cache/v1","hash":"someone-else","key":"k","value":{"n":1}}`),
+		"wrongschema": []byte(`{"schema":"hydra-cell-cache/v999","hash":"wrongschema","key":"k","value":{"n":1}}`),
+		"badvalue":    []byte(`{"schema":"hydra-cell-cache/v1","hash":"badvalue","key":"k","value":"not-an-object"}`),
 	}
 	for name, data := range corrupt {
 		if err := os.WriteFile(filepath.Join(dir, name+".json"), data, 0o644); err != nil {
@@ -159,11 +149,12 @@ func TestCellCacheCorruptEntriesDiscarded(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if s.CorruptDropped != int64(len(corrupt)) {
-		t.Fatalf("CorruptDropped = %d, want %d (%+v)", s.CorruptDropped, len(corrupt), s)
+	if s.CorruptDropped != int64(len(corrupt)) || s.Quarantined != int64(len(corrupt)) {
+		t.Fatalf("CorruptDropped = %d, Quarantined = %d, want %d each (%+v)",
+			s.CorruptDropped, s.Quarantined, len(corrupt), s)
 	}
 	// Re-simulation repairs the entry in place.
-	if err := c.Store("trunc", "k-trunc", cacheVal{N: 10}, time.Second); err != nil {
+	if err := c.Store("trunc", "k-trunc", cacheVal{N: 10}); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := NewCellCache(dir)
@@ -176,6 +167,133 @@ func TestCellCacheCorruptEntriesDiscarded(t *testing.T) {
 	}
 }
 
+// opKinds opens a cache over dir through an injector that records the
+// kind of every IO operation, runs fn against it, and returns the
+// kinds the open did and those fn did, in order.
+func opKinds(t *testing.T, dir string, fn func(*CellCache)) (open, ops []string) {
+	t.Helper()
+	var kinds []string
+	inj := iofault.NewInjector(iofault.OS{})
+	inj.Plan = func(op iofault.Op) iofault.Fault {
+		kinds = append(kinds, op.Kind)
+		return iofault.FaultNone
+	}
+	c, err := NewCellCacheFS(dir, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Decode = decodeCacheVal
+	open, kinds = kinds, nil
+	fn(c)
+	return open, kinds
+}
+
+// TestCellCacheOpenReadsNoEntries pins that opening a directory of
+// entries costs one MkdirAll: no directory listing, no entry read.
+func TestCellCacheOpenReadsNoEntries(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCellCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := c.Store(fmt.Sprintf("h%d", i), "k", cacheVal{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if open, _ := opKinds(t, dir, func(*CellCache) {}); fmt.Sprint(open) != "[mkdirall]" {
+		t.Fatalf("opening a cache of 8 entries did IO %v, want [mkdirall]", open)
+	}
+}
+
+// TestCellCacheDiskHitWritesNothing pins that a disk hit is one read:
+// no rewrite of the entry, and so no fsync on the read path.
+func TestCellCacheDiskHitWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCellCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Store("h", "k", cacheVal{N: 3}); err != nil {
+		t.Fatal(err)
+	}
+	_, got := opKinds(t, dir, func(c *CellCache) {
+		if v, ok := c.Lookup("h"); !ok || v.(cacheVal).N != 3 {
+			t.Fatalf("disk lookup = %v, %v; want {3}, true", v, ok)
+		}
+	})
+	if fmt.Sprint(got) != "[readfile]" {
+		t.Fatalf("one disk hit did IO %v, want [readfile]", got)
+	}
+}
+
+// TestCellCacheConcurrentStores pins that the disk tier needs no lock
+// of its own: goroutines storing the same and distinct hashes at once
+// (run it under -race) leave every entry readable from a fresh
+// instance.
+func TestCellCacheConcurrentStores(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCellCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if err := c.Store(fmt.Sprintf("h%d", i), "k", cacheVal{N: i}); err != nil {
+					t.Error(err)
+				}
+				if err := c.Store(fmt.Sprintf("g%d-%d", g, i), "k", cacheVal{N: i}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c2, err := NewCellCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2.Decode = decodeCacheVal
+	for i := 0; i < 8; i++ {
+		for _, h := range []string{fmt.Sprintf("h%d", i), fmt.Sprintf("g%d-%d", i%4, i)} {
+			if v, ok := c2.Lookup(h); !ok || v.(cacheVal).N != i {
+				t.Fatalf("entry %s = %v, %v; want {%d}, true", h, v, ok, i)
+			}
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 8+4*8 {
+		t.Fatalf("directory holds %d files (err %v), want %d entries and no temp litter", len(ents), err, 8+4*8)
+	}
+}
+
+// TestCellCacheReplaysEntriesWithUnknownFields pins the entry format's
+// compatibility rule: fields the layout does not know — such as the
+// cost and access time older entries recorded — are ignored, so the
+// entry replays as a disk hit.
+func TestCellCacheReplaysEntriesWithUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	entry := `{"schema":"hydra-cell-cache/v1","hash":"old","key":"k","cost_ns":1500000,` +
+		`"atime_unix_ns":1700000000000000000,"value":{"n":5}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "old.json"), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCellCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Decode = decodeCacheVal
+	if v, ok := c.Lookup("old"); !ok || v.(cacheVal).N != 5 {
+		t.Fatalf("lookup = %v, %v; want {5}, true", v, ok)
+	}
+	if s := c.Stats(); s.DiskHits != 1 || s.CorruptDropped != 0 {
+		t.Fatalf("stats = %+v, want one disk hit and no corruption", s)
+	}
+}
+
 // TestCampaignCacheHitsSkipRun pins the tentpole behaviour: a cell
 // whose CacheKey resolves settles without Run ever being called, its
 // status says so, and OnCellDone still observes it.
@@ -184,7 +302,7 @@ func TestCampaignCacheHitsSkipRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Store("hit-hash", "warm/a", cacheVal{N: 1}, time.Second); err != nil {
+	if err := cache.Store("hit-hash", "warm/a", cacheVal{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var runs, done sync.Map
@@ -236,8 +354,8 @@ func TestCampaignCacheHitsSkipRun(t *testing.T) {
 }
 
 // TestCampaignLPTOrder pins the scheduling contract: with one worker,
-// cells run in descending estimated-cost order regardless of input
-// order, and recorded costs from a prior campaign override estimates.
+// cells run in descending Cell.EstCost order regardless of input
+// order, with or without a cache.
 func TestCampaignLPTOrder(t *testing.T) {
 	cache, err := NewCellCache("")
 	if err != nil {
@@ -257,63 +375,54 @@ func TestCampaignLPTOrder(t *testing.T) {
 		}
 	}
 	cells := []Cell{mk("small", 1), mk("big", 5), mk("mid", 3)}
-	if _, err := RunCampaign(context.Background(), cells, Options{Workers: 1, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(order) != "[big mid small]" {
-		t.Fatalf("static LPT order = %v, want [big mid small]", order)
-	}
-
-	// Recorded wall-clock beats the static estimate: pretend "r/small"
-	// actually took longest last time. The prior run stored different
-	// content hashes (other knobs), so the costs arrive via the
-	// cost-by-cell-key channel and the cells still have to run.
-	cache3, err := NewCellCache("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache3.Store("old-hash-small", "r/small", cacheVal{}, 10*time.Second)
-	cache3.Store("old-hash-big", "r/big", cacheVal{}, time.Second)
-	order = nil
-	cells2 := []Cell{
-		{Key: "r/big", CacheKey: "new-hash-big", EstCost: 5, Run: mk("r/big", 0).Run},
-		{Key: "r/small", CacheKey: "new-hash-small", EstCost: 1, Run: mk("r/small", 0).Run},
-	}
-	if _, err := RunCampaign(context.Background(), cells2, Options{Workers: 1, Cache: cache3}); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(order) != "[r/small r/big]" {
-		t.Fatalf("recorded-cost order = %v, want [r/small r/big] (recorded 10s beats EstCost 5)", order)
+	for _, c := range []*CellCache{cache, nil} {
+		order = nil
+		if _, err := RunCampaign(context.Background(), cells, Options{Workers: 1, Cache: c}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(order) != "[big mid small]" {
+			t.Fatalf("LPT order with cache %v = %v, want [big mid small]", c != nil, order)
+		}
 	}
 }
 
-// TestCampaignRetriedCellNotCached pins the purity rule: callers may
-// perturb retried cells (exp reseeds them), so a value computed on
-// attempt > 0 must not be stored under the attempt-0 content hash.
-func TestCampaignRetriedCellNotCached(t *testing.T) {
+// TestCampaignFailedCellNotCached pins how a failed cell is recomputed:
+// its one run stores nothing, so a rerun over the same cache runs it
+// again, and only a success lands in the cache.
+func TestCampaignFailedCellNotCached(t *testing.T) {
 	cache, err := NewCellCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts := 0
+	runs := 0
 	cells := []Cell{{
 		Key: "flaky", CacheKey: "flaky-hash",
-		Run: func(_ context.Context, env Env) (any, error) {
-			attempts++
-			if env.Attempt == 0 {
-				return nil, fmt.Errorf("transient")
+		Run: func(context.Context, Env) (any, error) {
+			runs++
+			if runs == 1 {
+				return cacheVal{N: 1}, fmt.Errorf("transient")
 			}
-			return cacheVal{N: 1}, nil
+			return cacheVal{N: 2}, nil
 		},
 	}}
-	res, err := RunCampaign(context.Background(), cells, Options{Retries: 1, Backoff: time.Millisecond, Cache: cache})
+	res, err := RunCampaign(context.Background(), cells, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err != nil || attempts != 2 {
-		t.Fatalf("retry did not succeed: %+v (attempts %d)", res[0], attempts)
+	if res[0].Err == nil || res[0].Value != nil || runs != 1 {
+		t.Fatalf("failed cell = %+v after %d runs, want one failed run and no value", res[0], runs)
 	}
-	if _, ok := cache.Lookup("flaky-hash"); ok {
-		t.Fatal("retried cell's value entered the cache under the original hash")
+	if s := cache.Stats(); s.Stores != 0 || cache.Len() != 0 {
+		t.Fatalf("failed cell stored a value: %+v, %d entries", s, cache.Len())
+	}
+	res, err = RunCampaign(context.Background(), cells, Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil || res[0].Cached || runs != 2 {
+		t.Fatalf("rerun = %+v after %d runs, want the cell recomputed", res[0], runs)
+	}
+	if v, ok := cache.Lookup("flaky-hash"); !ok || v.(cacheVal).N != 2 {
+		t.Fatalf("cache after rerun = %v, %v; want the recomputed {2}", v, ok)
 	}
 }

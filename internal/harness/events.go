@@ -14,12 +14,11 @@ const CellEventSchema = "hydra-cell-event/v1"
 // cell, matching the cell's row in the run report.
 const (
 	EvQueued   = "queued"   // cell admitted to the campaign (after the cache pre-pass)
-	EvStarted  = "started"  // first attempt entered a worker
-	EvProgress = "progress" // periodic simulated-cycle sample from the running attempt
-	EvRetried  = "retried"  // a failed attempt is being retried (Attempt = new attempt number)
+	EvStarted  = "started"  // cell entered a worker
+	EvProgress = "progress" // periodic simulated-cycle sample from the running cell
 	EvCached   = "cached"   // terminal: value replayed from the result cache
 	EvDone     = "done"     // terminal: computed successfully
-	EvFailed   = "failed"   // terminal: all attempts failed; Error holds the last one
+	EvFailed   = "failed"   // terminal: the cell failed; Error says why
 )
 
 // CellEvent is one observation of a campaign cell's lifecycle,
@@ -37,15 +36,13 @@ type CellEvent struct {
 	// Tags carries the caller's cell labels (the experiment layer sets
 	// scheme, workload and seed — see exp.Options).
 	Tags map[string]string `json:"tags,omitempty"`
-	// Attempt is the 0-based attempt number (started/retried/terminal).
-	Attempt int `json:"attempt,omitempty"`
 	// Cycles is the cell's latest simulated-cycle count: the live value
 	// for progress events, the final one for done/failed.
 	Cycles int64 `json:"cycles,omitempty"`
 	// ElapsedSec is the cell's wall-clock time so far (terminal events:
-	// total including retries and backoff).
+	// the total).
 	ElapsedSec float64 `json:"elapsed_sec,omitempty"`
-	// Error is the last attempt's error, on failed events.
+	// Error is the cell's error, on failed events.
 	Error string `json:"error,omitempty"`
 }
 

@@ -155,7 +155,7 @@ func TestBusSubscribeAny(t *testing.T) {
 
 func TestCellEventTerminal(t *testing.T) {
 	terminal := map[string]bool{
-		EvQueued: false, EvStarted: false, EvProgress: false, EvRetried: false,
+		EvQueued: false, EvStarted: false, EvProgress: false,
 		EvCached: true, EvDone: true, EvFailed: true,
 	}
 	for kind, want := range terminal {

@@ -2,20 +2,17 @@
 // cells (one simulator configuration each) through a bounded worker
 // pool and keeps the campaign alive when individual cells misbehave.
 //
-// Four failure modes are contained per cell, so a sweep of N cells
-// always yields N verdicts:
+// Every cell is settled in one run, and failures are contained per
+// cell, so a sweep of N cells always yields N verdicts:
 //
 //   - panics are recovered and converted to a *PanicError carrying the
 //     panicking value and stack; the other cells keep running;
 //   - a progress watchdog cancels cells whose simulated-cycle counter
 //     stops advancing for longer than a stall deadline, and a wall-clock
 //     timeout bounds each cell outright;
-//   - failed cells are retried with capped backoff; the attempt number
-//     is passed back in so the caller can reseed, separating
-//     seed-dependent corner cases from deterministic bugs;
 //   - completed cells are written to an optional content-addressed
-//     cache (see CellCache), so an interrupted campaign rerun over the
-//     same cache directory recomputes only the missing cells.
+//     cache (see CellCache), so a campaign rerun over the same cache
+//     directory recomputes only the failed and missing cells.
 //
 // Cells cooperate through two channels: they honor ctx cancellation
 // (the simulator polls it between events) and report simulated cycles
@@ -49,12 +46,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("harness: cell panicked: %v", e.Value)
 }
 
-// Env is the per-attempt environment the harness hands to a cell.
+// Env is the environment the harness hands to a running cell.
 type Env struct {
-	// Attempt is the 0-based attempt number. Retried cells should fold
-	// it into their RNG seed so a seed-dependent failure is not simply
-	// replayed.
-	Attempt int
 	// Progress reports the cell's simulated-cycle counter. The watchdog
 	// declares a stall when the reported value stops increasing — calls
 	// repeating the same value do not keep a cell alive. Safe to call
@@ -82,8 +75,8 @@ type Cell struct {
 	// workload and seed). Nil is fine; the harness never reads them.
 	Tags map[string]string
 	// EstCost is a static relative cost estimate used to order work
-	// longest-first when the cache has no recorded timing for this cell.
-	// Unitless; only comparisons between cells of one campaign matter.
+	// longest-first. Unitless; only comparisons between cells of one
+	// campaign matter.
 	EstCost float64
 }
 
@@ -92,9 +85,8 @@ type CellResult struct {
 	Key      string
 	Value    any   // nil when Err != nil
 	Err      error // nil on success
-	Attempts int   // attempts actually made (0 when cached)
-	Panicked bool  // at least one attempt panicked
-	Stalled  bool  // at least one attempt was killed by the watchdog
+	Panicked bool  // the run panicked
+	Stalled  bool  // the run was killed by the watchdog
 	Cached   bool  // value replayed from the result cache; Run never called
 	Elapsed  time.Duration
 	// Cycles is the last simulated-cycle value the cell reported via
@@ -110,29 +102,22 @@ type Options struct {
 	// Workers bounds pool concurrency (default GOMAXPROCS, at most the
 	// number of cells).
 	Workers int
-	// CellTimeout is the wall-clock budget per attempt (0 = unbounded).
+	// CellTimeout is the wall-clock budget per cell (0 = unbounded).
 	CellTimeout time.Duration
-	// StallTimeout kills an attempt whose progress counter has not
-	// advanced for this long (0 disables the watchdog).
+	// StallTimeout kills a cell whose progress counter has not advanced
+	// for this long (0 disables the watchdog).
 	StallTimeout time.Duration
-	// Retries is the number of extra attempts after a failure.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt
-	// and capped at 16x (default 100ms when Retries > 0).
-	Backoff time.Duration
 	// Cache, when non-nil, resolves cells by CacheKey before the workers
 	// start (hits never enter the pool) and records each newly computed
-	// cell's value and wall-clock cost. Cells left to run are ordered
-	// longest-processing-time-first using the cache's recorded costs,
-	// falling back to Cell.EstCost.
+	// cell's value. A failed cell stores nothing.
 	Cache *CellCache
 	// OnCellDone, when non-nil, observes each settled cell (cached,
-	// succeeded, or exhausted). Called from worker goroutines; must be
+	// succeeded, or failed). Called from worker goroutines; must be
 	// safe for concurrent use.
 	OnCellDone func(CellResult)
 	// Bus, when non-nil, receives a structured CellEvent for every cell
-	// lifecycle transition (queued, started, progress, retried, cached,
-	// done, failed), for live progress rendering and the obsv.Server
+	// lifecycle transition (queued, started, progress, cached, done,
+	// failed), for live progress rendering and the obsv.Server
 	// /events NDJSON stream. Publishing never blocks the worker pool.
 	// The campaign does not close the bus — the caller owns its
 	// lifetime (it may span several campaigns of one run).
@@ -153,17 +138,6 @@ func (o Options) workers(cells int) int {
 	return w
 }
 
-func (o Options) backoff(attempt int) time.Duration {
-	b := o.Backoff
-	if b <= 0 {
-		b = 100 * time.Millisecond
-	}
-	for i := 1; i < attempt && i < 5; i++ {
-		b *= 2
-	}
-	return b
-}
-
 // RunCampaign executes the cells and returns one result per cell, in
 // input order. Individual cell failures are reported in their
 // CellResult, never as the campaign error; the error return is
@@ -172,8 +146,9 @@ func (o Options) backoff(attempt int) time.Duration {
 // still returned (unreached cells carry the cancellation error).
 //
 // With Options.Cache set, cells whose CacheKey resolves are settled
-// before the worker pool starts (Cached=true, Run never called) and
-// the remaining work is dispatched longest-processing-time-first.
+// before the worker pool starts (Cached=true, Run never called). The
+// remaining work is dispatched longest-processing-time-first by
+// Cell.EstCost, with or without a cache.
 func RunCampaign(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -196,39 +171,24 @@ func RunCampaign(ctx context.Context, cells []Cell, opts Options) ([]CellResult,
 
 	// Cache pre-pass: resolve content-addressed hits inline so they
 	// never occupy a worker, then order the remaining cells longest-
-	// processing-time-first (recorded cost when the cache has seen the
-	// cell or its key before, Cell.EstCost otherwise) to cut makespan —
-	// a long cell dispatched last would otherwise run alone at the tail
-	// while the rest of the pool idles.
+	// processing-time-first to cut makespan — a long cell dispatched
+	// last would otherwise run alone at the tail while the rest of the
+	// pool idles.
 	pending := make([]int, 0, len(cells))
-	if opts.Cache != nil {
-		for i := range cells {
-			if cells[i].CacheKey != "" {
-				if v, ok := opts.Cache.Lookup(cells[i].CacheKey); ok {
-					results[i] = CellResult{Key: cells[i].Key, Value: v, Cached: true}
-					publishCell(opts.Bus, EvCached, cells[i], nil)
-					if opts.OnCellDone != nil {
-						opts.OnCellDone(results[i])
-					}
-					continue
+	for i := range cells {
+		if opts.Cache != nil && cells[i].CacheKey != "" {
+			if v, ok := opts.Cache.Lookup(cells[i].CacheKey); ok {
+				results[i] = CellResult{Key: cells[i].Key, Value: v, Cached: true}
+				publishCell(opts.Bus, EvCached, cells[i], nil)
+				if opts.OnCellDone != nil {
+					opts.OnCellDone(results[i])
 				}
-			}
-			pending = append(pending, i)
-		}
-		cost := make([]float64, len(cells))
-		for _, i := range pending {
-			if d, ok := opts.Cache.Cost(cells[i].CacheKey, cells[i].Key); ok {
-				cost[i] = d.Seconds()
-			} else {
-				cost[i] = cells[i].EstCost
+				continue
 			}
 		}
-		sort.SliceStable(pending, func(a, b int) bool { return cost[pending[a]] > cost[pending[b]] })
-	} else {
-		for i := range cells {
-			pending = append(pending, i)
-		}
+		pending = append(pending, i)
 	}
+	sort.SliceStable(pending, func(a, b int) bool { return cells[pending[a]].EstCost > cells[pending[b]].EstCost })
 	for _, i := range pending {
 		publishCell(opts.Bus, EvQueued, cells[i], nil)
 	}
@@ -329,64 +289,28 @@ func publishCell(b *Bus, kind string, cell Cell, mut func(*CellEvent)) {
 	b.Publish(e)
 }
 
-// runCell settles one cell: up to 1+Retries attempts with backoff.
+// runCell settles one cell in a single run.
 func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	start := time.Now()
-	res := CellResult{Key: cell.Key}
 	var obs *cellObs
 	if opts.Bus != nil || opts.StallTimeout > 0 {
 		obs = &cellObs{cell: cell, bus: opts.Bus, start: start}
 	}
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(opts.backoff(attempt))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				res.Err = fmt.Errorf("harness: campaign aborted: %w", context.Cause(ctx))
-				res.Elapsed = time.Since(start)
-				return res
-			}
+	publishCell(opts.Bus, EvStarted, cell, nil)
+	v, err := runGuarded(ctx, cell, opts, obs)
+	res := CellResult{Key: cell.Key, Err: err, Elapsed: time.Since(start)}
+	if err == nil {
+		res.Value = v
+		if opts.Cache != nil && cell.CacheKey != "" {
+			// Best-effort: a failed disk write is counted in the cache
+			// stats but never fails a computed cell.
+			_ = opts.Cache.Store(cell.CacheKey, cell.Key, v)
 		}
-		kind, at := EvStarted, attempt
-		if attempt > 0 {
-			kind = EvRetried
-		}
-		publishCell(opts.Bus, kind, cell, func(e *CellEvent) {
-			e.Attempt = at
-			e.ElapsedSec = time.Since(start).Seconds()
-		})
-		attemptStart := time.Now()
-		v, err := runAttempt(ctx, cell, attempt, opts, obs)
-		attemptElapsed := time.Since(attemptStart)
-		res.Attempts = attempt + 1
-		if err == nil {
-			res.Value = v
-			res.Err = nil
-			if opts.Cache != nil && cell.CacheKey != "" && attempt == 0 {
-				// Best-effort: a failed disk write is counted in the cache
-				// stats but never fails a computed cell. Only first-attempt
-				// results are stored — callers may perturb retried cells
-				// (exp reseeds them), so a retry's value no longer matches
-				// the content hash computed from the original inputs.
-				_ = opts.Cache.Store(cell.CacheKey, cell.Key, v, attemptElapsed)
-			}
-			break
-		}
-		res.Err = err
+	} else {
 		var pe *PanicError
-		if errors.As(err, &pe) {
-			res.Panicked = true
-		}
-		if errors.Is(err, ErrStalled) {
-			res.Stalled = true
-		}
-		if ctx.Err() != nil {
-			break // campaign-level cancel: do not burn retries
-		}
+		res.Panicked = errors.As(err, &pe)
+		res.Stalled = errors.Is(err, ErrStalled)
 	}
-	res.Elapsed = time.Since(start)
 	if obs != nil {
 		res.Cycles = obs.cycles.Load()
 	}
@@ -395,7 +319,6 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 		kind = EvFailed
 	}
 	publishCell(opts.Bus, kind, cell, func(e *CellEvent) {
-		e.Attempt = res.Attempts - 1
 		e.Cycles = res.Cycles
 		e.ElapsedSec = res.Elapsed.Seconds()
 		if res.Err != nil {
@@ -405,9 +328,9 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	return res
 }
 
-// runAttempt executes one attempt with panic recovery, wall-clock
-// timeout, the stall watchdog, and the bus progress sampler.
-func runAttempt(ctx context.Context, cell Cell, attempt int, opts Options, obs *cellObs) (v any, err error) {
+// runGuarded runs the cell with panic recovery, wall-clock timeout,
+// the stall watchdog, and the bus progress sampler.
+func runGuarded(ctx context.Context, cell Cell, opts Options, obs *cellObs) (v any, err error) {
 	if opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, opts.CellTimeout,
@@ -435,10 +358,10 @@ func runAttempt(ctx context.Context, cell Cell, attempt int, opts Options, obs *
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return cell.Run(ctx, Env{Attempt: attempt, Progress: progress})
+	return cell.Run(ctx, Env{Progress: progress})
 }
 
-// watchdog cancels an attempt when the reported progress value stops
+// watchdog cancels a cell when the reported progress value stops
 // increasing for longer than the stall deadline.
 type watchdog struct {
 	latest atomic.Int64

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,43 +106,6 @@ func TestCellTimeout(t *testing.T) {
 	}
 	if results[0].Err == nil {
 		t.Fatal("timeout did not kill the cell")
-	}
-}
-
-func TestRetryWithReseed(t *testing.T) {
-	var attempts atomic.Int64
-	cells := []Cell{{Key: "flaky", Run: func(ctx context.Context, env Env) (any, error) {
-		attempts.Add(1)
-		if env.Attempt < 2 {
-			return nil, fmt.Errorf("seed-dependent failure at attempt %d", env.Attempt)
-		}
-		return env.Attempt, nil
-	}}}
-	results, err := RunCampaign(context.Background(), cells,
-		Options{Retries: 3, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("campaign error: %v", err)
-	}
-	r := results[0]
-	if r.Err != nil {
-		t.Fatalf("retries did not rescue the cell: %v", r.Err)
-	}
-	if r.Value != 2 || r.Attempts != 3 || attempts.Load() != 3 {
-		t.Fatalf("want success on attempt index 2 after 3 attempts, got %+v (ran %d)", r, attempts.Load())
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	cells := []Cell{{Key: "doomed", Run: func(ctx context.Context, env Env) (any, error) {
-		return nil, errors.New("deterministic failure")
-	}}}
-	results, err := RunCampaign(context.Background(), cells,
-		Options{Retries: 2, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("campaign error: %v", err)
-	}
-	if results[0].Err == nil || results[0].Attempts != 3 {
-		t.Fatalf("want 3 failed attempts, got %+v", results[0])
 	}
 }
 

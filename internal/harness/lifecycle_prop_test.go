@@ -1,32 +1,30 @@
 package harness
 
 // Crash/resume lifecycle machine for the storage plane, built on
-// internal/proptest and internal/iofault. Where cache_gc_test.go
-// model-checks the janitor under clean IO, this machine generates
-// put/get/evict/crash/resume interleavings with the crash landing at a
+// internal/proptest and internal/iofault. The machine generates
+// put/get/crash/resume interleavings with the crash landing at a
 // generated IO step, and asserts the storage contracts:
 //
-//   - no valid entry is ever silently lost: every confirmed store is
-//     readable after recovery or accounted for by an eviction;
+//   - no valid entry is ever lost: every confirmed store is readable
+//     after recovery;
 //   - a crash never manufactures corruption: recovery quarantines
 //     nothing, because every visible file was written atomically;
-//   - resume is bitwise-deterministic: opening the surviving directory
-//     twice yields identical state.
+//   - resume is deterministic: looking up every entry from a second
+//     instance leaves the directory listing as it was.
 //
-// TestCacheCrashPointSweepGCAndTouch is the exhaustive companion: it
-// enumerates every IO step of a workload that exercises the GC
-// janitor's eviction Remove and the disk-hit atime-refresh rewrite,
-// and crashes at each one.
+// TestCacheCrashPointSweep is the exhaustive companion: it enumerates
+// every IO step of a store-then-reopen-and-lookup workload and crashes
+// at each one.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/iofault"
 	"repro/internal/proptest"
@@ -44,114 +42,132 @@ func lcDecode(_ string, raw json.RawMessage) (any, error) {
 	return s, err
 }
 
-// lcEntrySize measures the uniform on-disk entry size once.
-func lcEntrySize(tb testing.TB) int64 {
-	c, err := NewCellCache(tb.(*testing.T).TempDir())
+// dirListing returns the sorted "name size" lines of dir's top level,
+// the state a resumed run sees.
+func dirListing(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		tb.Fatal(err)
+		return nil, err
 	}
-	if err := c.Store(lcHash(0), lcKey(0), lcPayload, time.Millisecond); err != nil {
-		tb.Fatal(err)
+	out := make([]string, 0, len(ents))
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fmt.Sprintf("%s %d", e.Name(), info.Size()))
 	}
-	return c.DiskBytes()
+	sort.Strings(out)
+	return out, nil
+}
+
+// recoverCache opens dir on a clean filesystem, looks up every visible
+// entry and every confirmed one, and reports the first broken contract:
+// a confirmed entry missing, an entry not decoding to the stored
+// payload, or any entry quarantined. Visible entries are looked up
+// too, since a store that crashed after its rename leaves one that was
+// never confirmed.
+func recoverCache(dir string, confirmed []string) error {
+	c, err := NewCellCacheFS(dir, iofault.OS{})
+	if err != nil {
+		return fmt.Errorf("recovery open: %w", err)
+	}
+	c.Decode = lcDecode
+	visible, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return err
+	}
+	for _, name := range visible {
+		h := strings.TrimSuffix(filepath.Base(name), ".json")
+		if v, ok := c.Lookup(h); ok && v != lcPayload {
+			return fmt.Errorf("entry %s decoded to %v, want the stored payload", h, v)
+		}
+	}
+	for _, h := range confirmed {
+		v, ok := c.Lookup(h)
+		if !ok {
+			return fmt.Errorf("confirmed entry %s lost", h)
+		}
+		if v != lcPayload {
+			return fmt.Errorf("entry %s decoded to %v, want the stored payload", h, v)
+		}
+	}
+	if s := c.Stats(); s.Quarantined != 0 || s.CorruptDropped != 0 {
+		return fmt.Errorf("recovery quarantined %d / dropped %d entries — crash manufactured corruption",
+			s.Quarantined, s.CorruptDropped)
+	}
+	return nil
+}
+
+// checkResume runs recovery twice over dir and requires both passes to
+// keep every confirmed entry and to leave the directory listing as
+// they found it.
+func checkResume(dir string, confirmed []string) error {
+	if err := recoverCache(dir, confirmed); err != nil {
+		return err
+	}
+	first, err := dirListing(dir)
+	if err != nil {
+		return err
+	}
+	if err := recoverCache(dir, confirmed); err != nil {
+		return fmt.Errorf("second recovery: %w", err)
+	}
+	second, err := dirListing(dir)
+	if err != nil {
+		return err
+	}
+	if fmt.Sprint(first) != fmt.Sprint(second) {
+		return fmt.Errorf("resume not deterministic: directory %v then %v", first, second)
+	}
+	return nil
 }
 
 // cacheWorld is the crash machine's state: a cache instance over a
-// directory that survives instance churn, plus the conservation
-// ledger.
+// directory that survives instance churn, plus the stores it confirmed.
 type cacheWorld struct {
-	tb    testing.TB
-	dir   string
-	clk   time.Time
-	cache *CellCache
-
-	budget    int64
-	confirmed map[string]bool // stores that returned nil, ever
-	evicted   int64           // Evicted total across all instances
-	next      int             // next fresh entry index
+	dir       string
+	cache     *CellCache
+	confirmed []string // stores that returned nil, ever
+	next      int      // next fresh entry index
 }
 
-// snapshotEvicted folds the live instance's eviction count into the
-// cross-instance ledger; call before abandoning an instance.
-func (w *cacheWorld) snapshotEvicted() {
-	if w.cache != nil {
-		w.evicted += w.cache.Stats().Evicted
-	}
-}
-
-// open starts a fresh instance over fsys, applying the current budget
-// (reopen does not re-enforce it on its own, matching production).
 func (w *cacheWorld) open(fsys iofault.FS) error {
 	c, err := NewCellCacheFS(w.dir, fsys)
 	if err != nil {
 		return err
 	}
 	c.Decode = lcDecode
-	c.now = func() time.Time { return w.clk }
-	c.SetMaxBytes(w.budget)
 	w.cache = c
 	return nil
 }
 
-// checkRecovery asserts the post-crash contracts on a clean reopen.
+// store writes the next fresh entry and records it when it lands.
+func (w *cacheWorld) store() error {
+	j := w.next
+	w.next++
+	err := w.cache.Store(lcHash(j), lcKey(j), lcPayload)
+	if err == nil {
+		w.confirmed = append(w.confirmed, lcHash(j))
+	}
+	return err
+}
+
+// checkRecovery asserts the post-crash contracts and leaves a clean
+// instance open.
 func (w *cacheWorld) checkRecovery(t *proptest.T) {
-	w.snapshotEvicted()
+	if err := checkResume(w.dir, w.confirmed); err != nil {
+		t.Fatalf("%v", err)
+	}
 	if err := w.open(iofault.OS{}); err != nil {
 		t.Fatalf("recovery reopen: %v", err)
-	}
-	first := w.cache
-	// Recovery quarantines nothing: atomic writes mean a crash can
-	// leave stale or absent entries, never torn visible ones.
-	if s := first.Stats(); s.Quarantined != 0 || s.CorruptDropped != 0 {
-		t.Fatalf("recovery scan quarantined %d / dropped %d entries — crash manufactured corruption",
-			s.Quarantined, s.CorruptDropped)
-	}
-	w.evicted += first.Stats().Evicted // budget re-enforcement on open
-
-	// Resume is deterministic: a second observer of the same directory
-	// agrees byte-for-byte.
-	second, err := NewCellCacheFS(w.dir, iofault.OS{})
-	if err != nil {
-		t.Fatalf("second reopen: %v", err)
-	}
-	second.Decode = lcDecode
-	if a, b := first.DiskBytes(), second.DiskBytes(); a != b {
-		t.Fatalf("resume not deterministic: DiskBytes %d then %d", a, b)
-	}
-
-	// Conservation: every confirmed store is present and decodable, up
-	// to the evictions the janitor accounted for.
-	missing := 0
-	for h := range w.confirmed {
-		v, ok := first.Lookup(h)
-		if ok {
-			if v != lcPayload {
-				t.Fatalf("entry %s decoded to %v, want the stored payload", h, v)
-			}
-			continue
-		}
-		missing++
-	}
-	if s := first.Stats(); s.Quarantined != 0 || s.CorruptDropped != 0 {
-		t.Fatalf("post-recovery lookups quarantined %d / dropped %d — a confirmed entry was torn",
-			s.Quarantined, s.CorruptDropped)
-	}
-	if int64(missing) > w.evicted {
-		t.Fatalf("%d confirmed entries missing but only %d evictions accounted — entries silently lost",
-			missing, w.evicted)
 	}
 }
 
 // cacheCrashProp is one generated cache lifetime.
-func cacheCrashProp(tb testing.TB, entry int64) func(*proptest.T) {
+func cacheCrashProp(tb testing.TB) func(*proptest.T) {
 	return func(t *proptest.T) {
-		w := &cacheWorld{
-			tb:        tb,
-			dir:       tb.(*testing.T).TempDir(),
-			clk:       time.Unix(1_700_000_000, 0),
-			budget:    entry * int64(proptest.IntRange(2, 8).Draw(t, "budgetEntries")),
-			confirmed: map[string]bool{},
-		}
+		w := &cacheWorld{dir: tb.(*testing.T).TempDir()}
 		if err := w.open(iofault.OS{}); err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -161,22 +177,16 @@ func cacheCrashProp(tb testing.TB, entry int64) func(*proptest.T) {
 			// Run a short burst against an injector that crashes at a
 			// generated IO step, then recover and check the contracts.
 			"crash-burst": func(t *proptest.T) {
-				w.snapshotEvicted()
 				inj := iofault.NewInjector(iofault.OS{})
 				inj.Plan = iofault.CrashPlan(proptest.IntRange(0, 40).Draw(t, "crashAt"))
 				if err := w.open(inj); err != nil {
-					// The open scan itself crashed; recover from it.
-					w.cache = nil
+					// The open itself crashed; recover from it.
 					w.checkRecovery(t)
 					return
 				}
 				n := proptest.IntRange(1, 6).Draw(t, "burst")
 				for i := 0; i < n; i++ {
-					j := w.next
-					w.next++
-					if err := w.cache.Store(lcHash(j), lcKey(j), lcPayload, time.Millisecond); err == nil {
-						w.confirmed[lcHash(j)] = true
-					} else if !errors.Is(err, iofault.ErrCrashed) {
+					if err := w.store(); err != nil && !errors.Is(err, iofault.ErrCrashed) {
 						t.Fatalf("store under crash plan: unexpected error %v", err)
 					}
 					w.cache.Lookup(lcHash(idx.Draw(t, "lookup")))
@@ -190,21 +200,14 @@ func cacheCrashProp(tb testing.TB, entry int64) func(*proptest.T) {
 				}
 			},
 			"reopen": func(t *proptest.T) {
-				w.snapshotEvicted()
 				if err := w.open(iofault.OS{}); err != nil {
 					t.Fatalf("reopen: %v", err)
 				}
 			},
 			"store": func(t *proptest.T) {
-				j := w.next
-				w.next++
-				if err := w.cache.Store(lcHash(j), lcKey(j), lcPayload, time.Millisecond); err != nil {
+				if err := w.store(); err != nil {
 					t.Fatalf("store: %v", err)
 				}
-				w.confirmed[lcHash(j)] = true
-			},
-			"tick": func(t *proptest.T) {
-				w.clk = w.clk.Add(time.Duration(proptest.IntRange(1, 60).Draw(t, "s")) * time.Second)
 			},
 		})
 		w.checkRecovery(t)
@@ -214,66 +217,48 @@ func cacheCrashProp(tb testing.TB, entry int64) func(*proptest.T) {
 // TestCacheCrashResumeMachine generates cache lifetimes with crashes at
 // generated IO steps.
 func TestCacheCrashResumeMachine(t *testing.T) {
-	entry := lcEntrySize(t)
-	proptest.Check(t, cacheCrashProp(t, entry))
+	proptest.Check(t, cacheCrashProp(t))
 }
 
 // lcSweepWorkload drives the fixed workload the crash-point sweep
-// enumerates: stores that overflow the byte budget (GC janitor Remove),
-// then a cold instance whose disk-hit lookups rewrite entries in place
-// (atime-refresh touch). Store errors are returned via confirmed=false;
+// enumerates: six stores, then six lookups from a fresh instance over
+// the same directory. A store that crashed is left out of confirmed;
 // any other error aborts. It returns the hashes whose Store returned
-// nil and the evictions both instances accounted.
-func lcSweepWorkload(fsys iofault.FS, dir string, entry int64) (confirmed []string, evicted int64, err error) {
-	clk := time.Unix(1_700_000_000, 0)
+// nil.
+func lcSweepWorkload(fsys iofault.FS, dir string) (confirmed []string, err error) {
 	const entries = 6
-	budget := 3*entry + entry/2 // room for 3: stores 4..6 each evict
-
 	c, err := NewCellCacheFS(dir, fsys)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	c.Decode = lcDecode
-	c.now = func() time.Time { return clk }
-	c.SetMaxBytes(budget)
 	for i := 0; i < entries; i++ {
-		clk = clk.Add(time.Second)
-		if err := c.Store(lcHash(i), lcKey(i), lcPayload, time.Millisecond); err == nil {
+		if err := c.Store(lcHash(i), lcKey(i), lcPayload); err == nil {
 			confirmed = append(confirmed, lcHash(i))
 		} else if !errors.Is(err, iofault.ErrCrashed) {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	evicted += c.Stats().Evicted
 
-	// Cold restart: every lookup that hits disk rewrites the entry's
-	// atime in place — the touch path the sweep is after.
 	c2, err := NewCellCacheFS(dir, fsys)
 	if err != nil {
-		return confirmed, evicted, err
+		return confirmed, err
 	}
 	c2.Decode = lcDecode
-	clk = clk.Add(time.Minute)
-	c2.now = func() time.Time { return clk }
-	c2.SetMaxBytes(budget)
 	for i := 0; i < entries; i++ {
-		clk = clk.Add(time.Second)
 		c2.Lookup(lcHash(i))
 	}
-	evicted += c2.Stats().Evicted
-	return confirmed, evicted, nil
+	return confirmed, nil
 }
 
-// TestCacheCrashPointSweepGCAndTouch crashes the janitor/touch workload
-// at every IO step (strided under the quick tier) and checks recovery:
-// nothing quarantined, every confirmed entry present or accounted for
-// by an eviction, and the recovered directory deterministic.
-func TestCacheCrashPointSweepGCAndTouch(t *testing.T) {
-	entry := lcEntrySize(t)
-
+// TestCacheCrashPointSweep crashes the store-then-lookup workload at
+// every IO step (strided under the quick tier) and checks recovery:
+// nothing quarantined, every confirmed entry present, no stray file,
+// and the recovered directory deterministic.
+func TestCacheCrashPointSweep(t *testing.T) {
 	// Pass 1: count the workload's IO steps on a transparent injector.
 	counter := iofault.NewInjector(iofault.OS{})
-	if _, _, err := lcSweepWorkload(counter, t.TempDir(), entry); err != nil {
+	if _, err := lcSweepWorkload(counter, t.TempDir()); err != nil {
 		t.Fatalf("counting pass: %v", err)
 	}
 	total := counter.Ops()
@@ -286,36 +271,12 @@ func TestCacheCrashPointSweepGCAndTouch(t *testing.T) {
 			dir := t.TempDir()
 			inj := iofault.NewInjector(iofault.OS{})
 			inj.Plan = iofault.CrashPlan(k)
-			confirmed, evicted, err := lcSweepWorkload(inj, dir, entry)
+			confirmed, err := lcSweepWorkload(inj, dir)
 			if err != nil && !errors.Is(err, iofault.ErrCrashed) {
 				t.Fatalf("workload failed non-crash: %v", err)
 			}
-
-			// Recover on a clean filesystem.
-			rec, err := NewCellCacheFS(dir, iofault.OS{})
-			if err != nil {
-				t.Fatalf("recovery open: %v", err)
-			}
-			rec.Decode = lcDecode
-			if s := rec.Stats(); s.Quarantined != 0 || s.CorruptDropped != 0 {
-				t.Fatalf("recovery quarantined %d / dropped %d entries", s.Quarantined, s.CorruptDropped)
-			}
-			missing := 0
-			for _, h := range confirmed {
-				v, ok := rec.Lookup(h)
-				if ok && v != lcPayload {
-					t.Fatalf("entry %s decoded to %v", h, v)
-				}
-				if !ok {
-					missing++
-				}
-			}
-			if s := rec.Stats(); s.Quarantined != 0 || s.CorruptDropped != 0 {
-				t.Fatalf("recovery lookups quarantined %d / dropped %d — a confirmed entry was torn",
-					s.Quarantined, s.CorruptDropped)
-			}
-			if int64(missing) > evicted {
-				t.Fatalf("%d confirmed entries missing, only %d evictions accounted", missing, evicted)
+			if err := checkResume(dir, confirmed); err != nil {
+				t.Fatal(err)
 			}
 
 			// The visible directory is all valid .json entries plus, at
@@ -325,24 +286,10 @@ func TestCacheCrashPointSweepGCAndTouch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			names := make([]string, 0, len(ents))
 			for _, e := range ents {
-				if e.IsDir() {
-					continue
-				}
-				if strings.HasSuffix(e.Name(), ".json") {
-					names = append(names, e.Name())
-				} else if !strings.HasPrefix(e.Name(), ".atomic-") {
+				if !e.IsDir() && !strings.HasSuffix(e.Name(), ".json") && !strings.HasPrefix(e.Name(), ".atomic-") {
 					t.Fatalf("stray file %q after crash", e.Name())
 				}
-			}
-			sort.Strings(names)
-			again, err := NewCellCacheFS(dir, iofault.OS{})
-			if err != nil {
-				t.Fatalf("second recovery open: %v", err)
-			}
-			if a, b := rec.DiskBytes(), again.DiskBytes(); a != b {
-				t.Fatalf("recovery not deterministic: DiskBytes %d then %d", a, b)
 			}
 		})
 	}

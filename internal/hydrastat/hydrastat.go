@@ -51,12 +51,9 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 
 	if len(r.Cells) > 0 {
 		counts := map[string]int{}
-		retried, panicked, stalled := 0, 0, 0
+		panicked, stalled := 0, 0
 		for _, c := range r.Cells {
 			counts[c.Status]++
-			if c.Attempts > 1 {
-				retried++
-			}
 			if c.Panicked {
 				panicked++
 			}
@@ -69,9 +66,6 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 			if counts[st] > 0 {
 				fmt.Fprintf(b, " · %d %s", counts[st], st)
 			}
-		}
-		if retried > 0 {
-			fmt.Fprintf(b, " · %d retried", retried)
 		}
 		if panicked > 0 {
 			fmt.Fprintf(b, " · %d panicked", panicked)

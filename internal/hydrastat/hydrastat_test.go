@@ -28,10 +28,10 @@ func report(target string, hydraAll float64) *obsv.Report {
 		"memsim.readq_depth": {Type: obsv.TypeHistogram, Value: float64(h.N), Hist: &h},
 	}
 	r.Cells = []obsv.CellStatus{
-		{Key: target + "/hydra/parest", Status: obsv.CellOK, Attempts: 1, ElapsedSec: 1.25, Cycles: 3_200_000},
-		{Key: target + "/hydra/GUPS", Status: obsv.CellOK, Attempts: 2, ElapsedSec: 0.5, Cycles: 1_000_000},
+		{Key: target + "/hydra/parest", Status: obsv.CellOK, ElapsedSec: 1.25, Cycles: 3_200_000},
+		{Key: target + "/hydra/GUPS", Status: obsv.CellOK, ElapsedSec: 0.5, Cycles: 1_000_000},
 		{Key: target + "/graphene/parest", Status: obsv.CellCached},
-		{Key: target + "/graphene/GUPS", Status: obsv.CellFailed, Error: "boom", Attempts: 3, ElapsedSec: 0.2},
+		{Key: target + "/graphene/GUPS", Status: obsv.CellFailed, Error: "boom", ElapsedSec: 0.2},
 	}
 	return r
 }
@@ -42,7 +42,7 @@ func TestSummarize(t *testing.T) {
 	for _, want := range []string{
 		"experiments/fig5",
 		"cells: 4 total",
-		"2 ok", "1 cached", "1 failed", "2 retried",
+		"2 ok", "1 cached", "1 failed",
 		"fig5/hydra/parest", // slowest cell
 		"Mcyc/s",
 		"geomeans",
@@ -58,6 +58,26 @@ func TestSummarize(t *testing.T) {
 	// The slowest-cells ranking must skip the cached replay.
 	if strings.Contains(out, "slow: fig5/graphene/parest") {
 		t.Errorf("cached cell ranked as slow:\n%s", out)
+	}
+}
+
+// TestSummarizeReadsReportsWithAttempts pins that run reports written
+// while the harness still retried cells, whose cells carry an
+// "attempts" field, decode and summarize.
+func TestSummarizeReadsReportsWithAttempts(t *testing.T) {
+	data := []byte(`{"schema":"hydra-report-file/v1","reports":[{"schema":"hydra-run-report/v1",` +
+		`"tool":"experiments","target":"fig5","created_at":"2026-01-02T03:04:05Z","go_version":"go1.22",` +
+		`"cells":[{"key":"fig5/hydra/parest","status":"ok","attempts":1,"elapsed_sec":1.5,"cycles":3000000},` +
+		`{"key":"fig5/hydra/GUPS","status":"failed","error":"boom","attempts":3,"elapsed_sec":0.2}]}]}`)
+	f, err := obsv.DecodeReportFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := Summarize(f, 3)
+	for _, want := range []string{"cells: 2 total", "1 ok", "1 failed", "slow: fig5/hydra/parest"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -131,10 +131,10 @@ func lateSubmitProp(probe *lateInserts) func(*proptest.T) {
 				}
 			}
 		}
-		got := driveLate(idx, func(h func(uint32, Kind, int64)) { idx.cfg.OnACT = h }, specs, after)
+		got := driveLate(idx, func(h func(uint32, Kind, int64)) { idx.cfg.OnACT = h }, specs, after, listCheck(t, idx))
 
 		lin := newLinMemory(cfgA)
-		want := driveLate(lin, func(h func(uint32, Kind, int64)) { lin.cfg.OnACT = h }, specs, nil)
+		want := driveLate(lin, func(h func(uint32, Kind, int64)) { lin.cfg.OnACT = h }, specs, nil, nil)
 
 		compareLogs(t, "indexed", got, "reference", want)
 		if a, b := idx.Stats(), lin.Stats(); !reflect.DeepEqual(a, b) {

@@ -170,9 +170,9 @@ func schedulerEquivProp(varyChannels bool) func(*proptest.T) {
 
 		cfg := genSchedConfig(t, mem)
 		idx := New(cfg)
-		got := driveStream(idx, func(h func(uint32, Kind, int64)) { idx.cfg.OnACT = h }, specs)
+		got := driveStream(idx, func(h func(uint32, Kind, int64)) { idx.cfg.OnACT = h }, specs, listCheck(t, idx))
 		lin := newLinMemory(cfg)
-		want := driveStream(lin, func(h func(uint32, Kind, int64)) { lin.cfg.OnACT = h }, specs)
+		want := driveStream(lin, func(h func(uint32, Kind, int64)) { lin.cfg.OnACT = h }, specs, nil)
 
 		compareLogs(t, "epoch engine", got, "reference", want)
 		if a, b := idx.Stats(), lin.Stats(); !reflect.DeepEqual(a, b) {

@@ -14,7 +14,9 @@ import (
 // (Arrive, seq)), a request in the wrong bank's bucket, on the wrong
 // one of aging and starving, or on the free list, a live-bank bit that
 // disagrees with its bucket, or a list length that disagrees with
-// readyN or the queue's len().
+// readyN or the queue's len(). Every walk stops one node past the
+// count its list keeps, so a list that loops back on itself fails
+// instead of hanging the test.
 func queueListErr(m *Memory) error {
 	free := make(map[*Request]bool, len(m.sh.free))
 	for _, r := range m.sh.free {
@@ -27,6 +29,8 @@ func queueListErr(m *Memory) error {
 		var prev *Request
 		for r := l.head; r != nil; prev, r = r, r.anext {
 			switch {
+			case n > l.n:
+				return n, fmt.Errorf("list runs past its count %d", l.n)
 			case r.aprev != prev:
 				return n, fmt.Errorf("back link of request seq %d does not point at its predecessor", r.seq)
 			case prev != nil && !before(prev, r):
@@ -55,6 +59,8 @@ func queueListErr(m *Memory) error {
 				var prev *Request
 				for r := bk.head; r != nil; prev, r = r, r.bnext {
 					switch {
+					case ready > q.readyN:
+						return fmt.Errorf("%s bank %d: buckets run past readyN %d", where, b, q.readyN)
 					case r.bprev != prev:
 						return fmt.Errorf("%s bank %d: back link of seq %d does not point at its predecessor", where, b, r.seq)
 					case prev != nil && prev.seq >= r.seq:
@@ -101,6 +107,21 @@ func queueListErr(m *Memory) error {
 		}
 	}
 	return nil
+}
+
+// fataler is the reporting half of *testing.T and *proptest.T.
+type fataler interface {
+	Fatalf(format string, args ...any)
+}
+
+// listCheck returns an after-epoch hook that fails t when any queue
+// list of m is broken (queueListErr).
+func listCheck(t fataler, m *Memory) func() {
+	return func() {
+		if err := queueListErr(m); err != nil {
+			t.Fatalf("after epoch: %v", err)
+		}
+	}
 }
 
 // TestQueueingAllocatesNothingPerRequest measures New plus queueing and

@@ -526,12 +526,12 @@ type memLike interface {
 
 // driveStream submits the specs in arrival order, each at its arrival
 // time (driveLate with submit = arrive).
-func driveStream(m memLike, setHook func(func(uint32, Kind, int64)), specs []reqSpec) []schedEvent {
+func driveStream(m memLike, setHook func(func(uint32, Kind, int64)), specs []reqSpec, afterEpoch func()) []schedEvent {
 	late := make([]lateSpec, len(specs))
 	for i, sp := range specs {
 		late[i] = lateSpec{sp, sp.arrive}
 	}
-	return driveLate(m, setHook, late, nil)
+	return driveLate(m, setHook, late, nil, afterEpoch)
 }
 
 // lateSpec is a request handed to the controller at submit, arriving
@@ -549,8 +549,9 @@ type lateSpec struct {
 // indexed side they recycle through the pool, possibly onto another
 // channel; a refused request is kept and carries the next spec.
 // afterSubmit, when non-nil, runs after every Submit with the request
-// and whether Submit accepted it.
-func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateSpec, afterSubmit func(*Request, bool)) []schedEvent {
+// and whether Submit accepted it; afterEpoch, when non-nil, after every
+// RunEpoch.
+func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateSpec, afterSubmit func(*Request, bool), afterEpoch func()) []schedEvent {
 	var events []schedEvent
 	setHook(func(row uint32, kind Kind, at int64) {
 		events = append(events, schedEvent{row: row, kind: kind, t: at})
@@ -561,6 +562,9 @@ func driveLate(m memLike, setHook func(func(uint32, Kind, int64)), specs []lateS
 	advance := func(bound int64) {
 		for t := m.NextTime(); t < bound; {
 			t = m.RunEpoch(bound)
+			if afterEpoch != nil {
+				afterEpoch()
+			}
 		}
 	}
 	var r *Request

@@ -157,13 +157,14 @@ func TestRefreshStaggerClamped(t *testing.T) {
 
 // TestSteadyStateStepIsAllocationFree pins the pooled hot path: once
 // the queues and free list are warm, submitting and fully servicing
-// pooled requests does not allocate.
+// pooled requests does not allocate. The warm-up round walks every
+// queue list after each epoch (queueListErr).
 func TestSteadyStateStepIsAllocationFree(t *testing.T) {
 	mem := dram.Baseline()
 	cfg := DefaultConfig(mem)
 	cfg.ReadQCap = 4096
 	m := New(cfg)
-	round := func() {
+	submit := func() {
 		for i := 0; i < 256; i++ {
 			r := m.NewRequest()
 			switch i % 8 {
@@ -177,11 +178,19 @@ func TestSteadyStateStepIsAllocationFree(t *testing.T) {
 			r.Line = lineAt(mem, i%2, i%16, (i/64)%32, i%128)
 			m.Submit(r)
 		}
+	}
+	round := func() {
+		submit()
 		drain(m)
 	}
 	// Warm up the free list; the queues thread through the requests
 	// and have nothing to grow.
-	round()
+	submit()
+	check := listCheck(t, m)
+	for now := m.NextTime(); now < Infinity; {
+		now = m.RunEpoch(Infinity)
+		check()
+	}
 	if avg := testing.AllocsPerRun(10, round); avg != 0 {
 		t.Fatalf("steady-state step loop allocates %.1f times per round, want 0", avg)
 	}

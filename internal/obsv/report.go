@@ -62,7 +62,7 @@ type Report struct {
 // Cell statuses recorded in CellStatus.Status.
 const (
 	CellOK     = "ok"     // computed this run
-	CellFailed = "failed" // all attempts failed; Error holds the last one
+	CellFailed = "failed" // the cell failed; Error says why
 	CellCached = "cached" // value replayed from the result cache
 	// CellBaselineMissing marks a scheme cell that simulated fine but
 	// could not be normalized because its baseline cell failed — a
@@ -73,30 +73,28 @@ const (
 
 // CellStatus is the per-cell verdict of a harness campaign: one entry
 // per (variant, workload) simulation, whether it succeeded, was
-// replayed from the result cache, or failed after retries.
+// replayed from the result cache, or failed. Decoding must keep
+// ignoring unknown fields: older reports carry a per-cell "attempts".
 type CellStatus struct {
 	// Key identifies the cell, "target/variant/workload".
 	Key string `json:"key"`
 	// Status is one of the Cell* status constants above.
 	Status string `json:"status"`
-	// Error is the last attempt's error for failed cells, or the reason
-	// a baseline-missing cell could not be normalized.
+	// Error is the failed cell's error, or the reason a
+	// baseline-missing cell could not be normalized.
 	Error string `json:"error,omitempty"`
-	// Attempts counts attempts actually made (0 when cached).
-	Attempts int `json:"attempts,omitempty"`
 	// Panicked / Stalled flag cells that died by panic or were killed
-	// by the progress watchdog on at least one attempt.
+	// by the progress watchdog.
 	Panicked bool `json:"panicked,omitempty"`
 	Stalled  bool `json:"stalled,omitempty"`
-	// ElapsedSec is the cell's wall-clock time including retries.
+	// ElapsedSec is the cell's wall-clock time.
 	ElapsedSec float64 `json:"elapsed_sec,omitempty"`
 	// Cycles is the cell's simulated-cycle count: the simulator's own
 	// result for completed cells, the last watchdog-observed progress
 	// value for failed ones (how far it got before dying). Zero for
 	// cached cells, which replay a value without simulating.
 	// Together with ElapsedSec this gives hydrastat a cycles-per-second
-	// rate to rank slow cells by, and run reports become a usable cost
-	// model for the LPT scheduler (see harness.CellCache.SeedCosts).
+	// rate to rank slow cells by.
 	Cycles int64 `json:"cycles,omitempty"`
 }
 

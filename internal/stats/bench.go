@@ -82,8 +82,11 @@ type BenchFile struct {
 // ParseBench extracts benchmark lines from `go test -bench` output.
 // Names are normalized by stripping the trailing -GOMAXPROCS suffix.
 // Non-benchmark lines are ignored, so raw test output can be piped in.
+// A benchmark repeated with `go test -count N` reduces to the median of
+// each column (nearest rank, as Percentile), so a gate compares a
+// central sample rather than whichever run printed last.
 func ParseBench(r io.Reader) (map[string]BenchResult, error) {
-	out := make(map[string]BenchResult)
+	runs := make(map[string][]BenchResult)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
@@ -112,13 +115,36 @@ func ParseBench(r io.Reader) (map[string]BenchResult, error) {
 			}
 		}
 		if ok {
-			out[benchName(f[0])] = res
+			name := benchName(f[0])
+			runs[name] = append(runs[name], res)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	out := make(map[string]BenchResult, len(runs))
+	for name, rs := range runs {
+		out[name] = medianBench(rs)
+	}
 	return out, nil
+}
+
+// medianBench reduces repeated runs of one benchmark to the median of
+// each column.
+func medianBench(rs []BenchResult) BenchResult {
+	col := func(f func(BenchResult) float64) float64 {
+		xs := make([]float64, len(rs))
+		for i, r := range rs {
+			xs[i] = f(r)
+		}
+		return Percentile(xs, 50)
+	}
+	return BenchResult{
+		N:           int64(col(func(r BenchResult) float64 { return float64(r.N) })),
+		NsPerOp:     col(func(r BenchResult) float64 { return r.NsPerOp }),
+		BytesPerOp:  int64(col(func(r BenchResult) float64 { return float64(r.BytesPerOp) })),
+		AllocsPerOp: int64(col(func(r BenchResult) float64 { return float64(r.AllocsPerOp) })),
+	}
 }
 
 // benchName strips the -N GOMAXPROCS suffix go test appends.

@@ -46,6 +46,23 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchRepeatsReduceToMedian pins that `go test -count N`
+// output gates on the median of each column, not on the last run.
+func TestParseBenchRepeatsReduceToMedian(t *testing.T) {
+	out := `BenchmarkX-2   	 1000	       300 ns/op	      64 B/op	       3 allocs/op
+BenchmarkX-2   	 3000	       100 ns/op	      32 B/op	       1 allocs/op
+BenchmarkX-2   	 2000	       900 ns/op	      96 B/op	       2 allocs/op
+`
+	got, err := ParseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := BenchResult{N: 2000, NsPerOp: 300, BytesPerOp: 64, AllocsPerOp: 2}
+	if got["BenchmarkX"] != want {
+		t.Fatalf("repeated runs parsed as %+v, want the per-column median %+v", got["BenchmarkX"], want)
+	}
+}
+
 func TestCompareBench(t *testing.T) {
 	base := map[string]BenchResult{
 		"BenchmarkA":          {NsPerOp: 1000, AllocsPerOp: 0},
