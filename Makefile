@@ -1,8 +1,6 @@
 # Convenience targets; everything below is plain go-tool invocations.
 
 GO       ?= go
-SCALE    ?= 64
-BENCHOUT ?= BENCH_pr1.json
 # Baseline convention: committed baselines are numbered BENCH_<N>.json
 # and append-only — a PR that shifts performance on purpose commits a
 # new BENCH_<N+1>.json rather than rewriting an old one. bench-compare
@@ -20,7 +18,7 @@ BENCHFLAGS ?=
 # (records the speedup the current tree delivers over it).
 PREV     ?=
 
-.PHONY: all build test check fmt-check soak docs-lint bench bench-smoke bench-baseline bench-compare bench-json figures profile clean
+.PHONY: all build test check fmt-check soak docs-lint bench bench-smoke bench-baseline bench-compare figures profile clean
 
 all: build test
 
@@ -101,16 +99,6 @@ bench-baseline:
 bench-compare:
 	$(GO) test -p 1 -bench . -benchmem -run '^$$' ./... \
 		| $(GO) run ./cmd/benchgate -compare $(BASELINE) -tolerance $(BENCHTOL) $(BENCHFLAGS)
-
-# bench-json writes the machine-readable perf trajectory artifact: a
-# fast, fixed sweep (fig5 on a representative workload subset) whose
-# hydra-report-file/v1 output is comparable across PRs. CI-friendly:
-# exits non-zero on any failure, no interactive output needed.
-# Override SCALE/BENCHOUT: `make bench-json SCALE=16 BENCHOUT=out.json`
-bench-json:
-	$(GO) run ./cmd/experiments -scale $(SCALE) \
-		-workloads parest,bwaves,GUPS,leela -json $(BENCHOUT) fig5
-	@echo "wrote $(BENCHOUT)"
 
 # Regenerate every figure and table at the default scale.
 figures:

@@ -336,7 +336,7 @@ func campaignSweeps(b *testing.B, cache *harness.CellCache) {
 // hydra cells both sweeps share. The cached variant below is the same
 // campaign; the ratio between the two is the result-cache speedup the
 // perf gate tracks. No ReportAllocs on this pair: campaign allocation
-// counts jitter with pool/watchdog goroutine scheduling.
+// counts jitter with the worker pool's goroutine scheduling.
 func BenchmarkCampaignUncached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		campaignSweeps(b, nil)

@@ -25,8 +25,6 @@
 //	-trace FILE       write a JSONL event trace (serializes the sweep)
 //	-trace-cap N      event ring capacity (oldest dropped beyond this)
 //	-cell-timeout D   wall-clock budget per sweep cell (0 = unbounded)
-//	-stall-timeout D  kill cells whose simulated-cycle counter stalls
-//	                  this long (0 = no watchdog)
 //	-chaos a,b        restrict the chaos target to the named scenarios
 //	-cache-dir DIR    persist the content-addressed result cache to DIR
 //	                  (schema hydra-cell-cache/v1) so identical cells
@@ -89,7 +87,6 @@ func run(ctx context.Context, args []string) error {
 	traceOut := fs.String("trace", "", "write a JSONL event trace (serializes the sweep)")
 	traceCap := fs.Int("trace-cap", 1<<20, "event-trace ring capacity")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock budget per sweep cell (0 = unbounded)")
-	stallTimeout := fs.Duration("stall-timeout", 0, "kill cells stalled this long (0 = no watchdog)")
 	chaos := fs.String("chaos", "", "comma-separated chaos scenarios (default: all built-ins)")
 	cacheDir := fs.String("cache-dir", "", "persist the result cache to this directory across runs")
 	noCache := fs.Bool("no-cache", false, "disable result caching (simulate every cell)")
@@ -102,13 +99,12 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	opts := exp.Options{
-		Scale:        *scale,
-		TRH:          *trh,
-		Parallelism:  *par,
-		Seed:         seed,
-		CellTimeout:  *cellTimeout,
-		StallTimeout: *stallTimeout,
-		Ctx:          ctx,
+		Scale:       *scale,
+		TRH:         *trh,
+		Parallelism: *par,
+		Seed:        seed,
+		CellTimeout: *cellTimeout,
+		Ctx:         ctx,
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")

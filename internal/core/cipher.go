@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/rngstream"
+
 // rowCipher implements the randomized indexing of footnote 4: the
 // row address is passed through a b-bit keyed block cipher before
 // indexing the GCT and the RCT, so an attacker cannot choose which rows
@@ -16,19 +18,7 @@ type rowCipher struct {
 	bits   uint
 	half   uint // low-half width
 	keys   [4]uint32
-	keyGen splitMix
-}
-
-// splitMix is a splitmix64 PRNG used only for round-key generation; it
-// is deterministic from the seed so runs are reproducible.
-type splitMix struct{ state uint64 }
-
-func (s *splitMix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	keyGen rngstream.SplitMix64
 }
 
 func newRowCipher(rows int, seed uint64) *rowCipher {
@@ -40,7 +30,7 @@ func newRowCipher(rows int, seed uint64) *rowCipher {
 		rows:   uint64(rows),
 		bits:   b,
 		half:   b / 2,
-		keyGen: splitMix{state: seed},
+		keyGen: rngstream.SplitMix64{State: seed},
 	}
 	c.Rekey()
 	return c
@@ -50,7 +40,7 @@ func newRowCipher(rows int, seed uint64) *rowCipher {
 // the row-to-group mapping changes each 64 ms.
 func (c *rowCipher) Rekey() {
 	for i := range c.keys {
-		c.keys[i] = uint32(c.keyGen.next())
+		c.keys[i] = uint32(c.keyGen.Next())
 	}
 }
 

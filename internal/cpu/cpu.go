@@ -59,7 +59,6 @@ type Core struct {
 	time   int64 // fetch clock
 	nextAt int64
 
-	instCount int64 // instructions fetched so far
 	// reads is a ring of the outstanding loads in issue order: the
 	// oldest at readHead, readN live, power-of-two capacity. Retiring
 	// advances the head instead of re-slicing, so a warm core never
@@ -78,7 +77,8 @@ type Core struct {
 	// once here so issuing a read does not allocate a closure.
 	onFin func(r *memsim.Request, f int64)
 
-	// Stats over the run.
+	// Stats over the run. Insts, the instructions fetched so far, also
+	// places each load in the ROB window.
 	Insts    int64
 	Reads    int64
 	Writes   int64
@@ -209,12 +209,11 @@ func (c *Core) Step() {
 
 	// Fetch the gap instructions plus the memory instruction itself.
 	c.time += int64((rec.Gap + c.cfg.Width) / c.cfg.Width)
-	c.instCount += int64(rec.Gap) + 1
 	c.Insts += int64(rec.Gap) + 1
 
 	// Enforce the ROB window: the oldest incomplete load must retire
 	// before fetch may run further ahead than ROB instructions.
-	for c.readN > 0 && c.read(0).instIdx < c.instCount-int64(c.cfg.ROB) {
+	for c.readN > 0 && c.read(0).instIdx < c.Insts-int64(c.cfg.ROB) {
 		oldest := c.read(0)
 		if oldest.finishAt < 0 {
 			// Completion unknown: block until the memory system wakes us.
@@ -241,7 +240,7 @@ func (c *Core) Step() {
 		// Identify the load by its issue number, which readDone maps
 		// to its ring position without a search.
 		req.User = c.retired + int64(c.readN)
-		c.pushRead(outstandingRead{instIdx: c.instCount, finishAt: -1})
+		c.pushRead(outstandingRead{instIdx: c.Insts, finishAt: -1})
 		req.OnFinish = c.onFin
 	}
 	if !c.mem.Submit(req) {
@@ -280,5 +279,5 @@ func (c *Core) Debug() string {
 		oldest = c.read(0).finishAt
 	}
 	return fmt.Sprintf("time=%d nextAt=%d blocked=%v exhausted=%v pending=%v reads=%d oldestFinish=%d insts=%d",
-		c.time, c.nextAt, c.blocked, c.exhausted, c.pending != nil, c.readN, oldest, c.instCount)
+		c.time, c.nextAt, c.blocked, c.exhausted, c.pending != nil, c.readN, oldest, c.Insts)
 }

@@ -149,8 +149,8 @@ type ArenaReport struct {
 	Slowdown    map[string]map[string]float64 `json:"slowdown"`
 
 	// Cells aggregates every campaign cell verdict (benign sweep plus
-	// adversarial-slowdown cells); Cache is the combined result-cache
-	// traffic.
+	// adversarial-slowdown cells); Cache is the result-cache traffic of
+	// both campaigns.
 	Cells []obsv.CellStatus  `json:"cells"`
 	Cache harness.CacheStats `json:"cache"`
 }
@@ -214,6 +214,7 @@ func Arena(o Options, thresholds []int) (*ArenaReport, error) {
 			})
 		}
 	}
+	cacheBefore := o.Cache.Stats()
 	perf, err := perfReport(o, "Tracker arena: normalized performance (scheme @ T_RH)", variants)
 	if err != nil {
 		return nil, err
@@ -324,7 +325,7 @@ func Arena(o Options, thresholds []int) (*ArenaReport, error) {
 			})
 		}
 	}
-	advRes, advCells, advStats, err := runMatrix(oAdv, []workload.Profile{prof}, advVariants)
+	advRes, advCells, _, err := runMatrix(oAdv, []workload.Profile{prof}, advVariants)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +349,7 @@ func Arena(o Options, thresholds []int) (*ArenaReport, error) {
 	}
 
 	rep.Cells = append(append([]obsv.CellStatus(nil), perf.Cells...), advCells...)
-	rep.Cache = addCacheStats(perf.Cache, advStats)
+	rep.Cache = o.Cache.Stats().Delta(cacheBefore)
 	return rep, nil
 }
 
@@ -360,21 +361,6 @@ func targeted(a attack.Adversary, scheme string) bool {
 		}
 	}
 	return false
-}
-
-// addCacheStats sums two campaigns' cache traffic.
-func addCacheStats(a, b harness.CacheStats) harness.CacheStats {
-	return harness.CacheStats{
-		Hits:           a.Hits + b.Hits,
-		MemHits:        a.MemHits + b.MemHits,
-		DiskHits:       a.DiskHits + b.DiskHits,
-		Misses:         a.Misses + b.Misses,
-		Stores:         a.Stores + b.Stores,
-		BytesRead:      a.BytesRead + b.BytesRead,
-		BytesWritten:   a.BytesWritten + b.BytesWritten,
-		CorruptDropped: a.CorruptDropped + b.CorruptDropped,
-		StoreErrors:    a.StoreErrors + b.StoreErrors,
-	}
 }
 
 // Format renders the arena: the geomean performance matrix, one

@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/sim"
 )
 
@@ -92,6 +95,38 @@ func TestArenaRestricted(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("format missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestArenaCacheTrafficCountsQuarantine reruns a small arena over its
+// cache directory with one entry torn: the rerun's cache traffic, taken
+// around both of its campaigns, counts that entry as quarantined and
+// every other entry as a disk hit.
+func TestArenaCacheTrafficCountsQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	arena := func() harness.CacheStats {
+		t.Helper()
+		cache, err := harness.NewCellCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Arena(Options{Scale: 4096, Workloads: []string{"leela"}, Cache: cache}, []int{500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Cache
+	}
+	first := arena()
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(entries) == 0 || first.Stores != int64(len(entries)) {
+		t.Fatalf("first run stored %d entries, found %d on disk (%v)", first.Stores, len(entries), err)
+	}
+	if err := os.WriteFile(entries[0], []byte(`{"schema":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := arena()
+	if got.Quarantined != 1 || got.CorruptDropped != 1 || got.DiskHits != int64(len(entries)-1) {
+		t.Fatalf("rerun cache traffic %+v, want 1 quarantined and %d disk hits", got, len(entries)-1)
 	}
 }
 

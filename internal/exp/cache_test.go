@@ -151,7 +151,7 @@ func TestPerfReportMarksBaselineMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, _ := cellIdentity(o.withDefaults(), parest, baselineVariant)
+	hash, _ := cellIdentity(o.withDefaults(), parest, baselineVariant, new(sim.Config))
 	if hash == "" {
 		t.Fatal("baseline cell has no content hash")
 	}

@@ -180,33 +180,16 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 	}
 
 	hres, err := harness.RunCampaign(o.ctx(), cells, harness.Options{
-		Workers:      o.Parallelism,
-		CellTimeout:  o.CellTimeout,
-		StallTimeout: o.StallTimeout,
+		Workers:     o.Parallelism,
+		CellTimeout: o.CellTimeout,
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep := &ChaosReport{TRH: o.TRH}
 	for _, r := range hres {
-		st := obsv.CellStatus{
-			Key:        r.Key,
-			Panicked:   r.Panicked,
-			Stalled:    r.Stalled,
-			ElapsedSec: r.Elapsed.Seconds(),
-		}
-		switch {
-		case r.Err != nil:
-			st.Status = obsv.CellFailed
-			st.Error = r.Err.Error()
-		default:
-			st.Status = obsv.CellOK
-			row, ok := r.Value.(ChaosRow)
-			if !ok {
-				st.Status = obsv.CellFailed
-				st.Error = fmt.Sprintf("exp: cell value is %T, want ChaosRow", r.Value)
-				break
-			}
+		st, row, ok := cellStatus[ChaosRow](r)
+		if ok {
 			rep.Rows = append(rep.Rows, row)
 		}
 		rep.Cells = append(rep.Cells, st)

@@ -54,9 +54,6 @@ type Options struct {
 	// CellTimeout bounds each sweep cell's wall-clock time; 0 leaves
 	// cells unbounded.
 	CellTimeout time.Duration
-	// StallTimeout kills cells whose simulated-cycle counter stops
-	// advancing for this long (0 disables the watchdog).
-	StallTimeout time.Duration
 	// Cache, when non-nil, memoizes cell results by content-addressed
 	// config hash (sim.Config.CacheKey): identical cells across targets
 	// of one process — e.g. the non-secure baseline every figure
@@ -172,22 +169,27 @@ func DecodeResult(key string, raw json.RawMessage) (any, error) {
 	return r, nil
 }
 
-// cellIdentity resolves a cell's content-addressed hash and static
-// cost estimate by building its full config outside the worker pool.
+// cellIdentity resolves a cell's static cost estimate and, when the
+// campaign has a cache (the hash's one reader), its content-addressed
+// hash, by building its full config in cfg outside the worker pool.
+// A config handed to Mutate escapes to the heap, so a campaign passes
+// one cfg for all its cells rather than allocate one per cell.
 // Mutate is arbitrary caller code and may panic; a panicking variant
 // must fail as its own isolated cell (with the stack captured by the
 // harness), not here — so this recovers and returns the zero identity,
 // leaving the cell uncacheable and default-ordered.
-func cellIdentity(o Options, p workload.Profile, v Variant) (hash string, est float64) {
+func cellIdentity(o Options, p workload.Profile, v Variant, cfg *sim.Config) (hash string, est float64) {
 	defer func() {
 		if recover() != nil {
 			hash, est = "", 0
 		}
 	}()
-	cfg := o.baseConfig(p)
-	v.Mutate(&cfg)
-	hash, _ = cfg.CacheKey()
-	return hash, estCost(cfg)
+	*cfg = o.baseConfig(p)
+	v.Mutate(cfg)
+	if o.Cache != nil {
+		hash, _ = cfg.CacheKey()
+	}
+	return hash, estCost(*cfg)
 }
 
 // estCost is the static cost model for LPT scheduling: simulated work
@@ -249,23 +251,20 @@ func (o Options) liveObserver() func(harness.CellResult) {
 // a resilient harness campaign and returns results[variant][workload]
 // plus the per-cell verdicts and the cache traffic attributable to
 // this campaign (zero when o.Cache is nil). A cell failure (error,
-// panic, watchdog kill, timeout) does not fail the
-// matrix: the entry is simply absent from the result maps and its
-// CellStatus records the error. Callers decide how much of the matrix
-// they require.
+// panic, timeout) does not fail the matrix: the entry is simply absent
+// from the result maps and its CellStatus records the error. Callers
+// decide how much of the matrix they require.
 func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[string]map[string]sim.Result, []obsv.CellStatus, harness.CacheStats, error) {
 	if o.Cache != nil && o.Cache.Decode == nil {
 		o.Cache.Decode = DecodeResult
 	}
-	var statsBefore harness.CacheStats
-	if o.Cache != nil {
-		statsBefore = o.Cache.Stats()
-	}
+	statsBefore := o.Cache.Stats()
 	var cells []harness.Cell
+	identity := new(sim.Config)
 	for _, v := range variants {
 		for _, p := range profiles {
 			v, p := v, p
-			hash, est := cellIdentity(o, p, v)
+			hash, est := cellIdentity(o, p, v, identity)
 			cells = append(cells, harness.Cell{
 				Key:      o.target() + "/" + v.Name + "/" + p.Name,
 				CacheKey: hash,
@@ -298,12 +297,11 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 		droppedBefore = o.Bus.Dropped()
 	}
 	hres, err := harness.RunCampaign(o.ctx(), cells, harness.Options{
-		Workers:      o.Parallelism,
-		CellTimeout:  o.CellTimeout,
-		StallTimeout: o.StallTimeout,
-		Cache:        o.Cache,
-		Bus:          o.Bus,
-		OnCellDone:   o.liveObserver(),
+		Workers:     o.Parallelism,
+		CellTimeout: o.CellTimeout,
+		Cache:       o.Cache,
+		Bus:         o.Bus,
+		OnCellDone:  o.liveObserver(),
 	})
 	if o.Bus != nil && o.Live != nil {
 		if d := o.Bus.Dropped() - droppedBefore; d > 0 {
@@ -322,33 +320,12 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 	i := 0
 	for _, v := range variants {
 		for _, p := range profiles {
-			r := hres[i]
+			st, res, ok := cellStatus[sim.Result](hres[i])
 			i++
-			st := obsv.CellStatus{
-				Key:        r.Key,
-				Panicked:   r.Panicked,
-				Stalled:    r.Stalled,
-				ElapsedSec: r.Elapsed.Seconds(),
-				// Harness-observed progress; overwritten below with the
-				// simulator's exact count when the cell completed.
-				Cycles: r.Cycles,
-			}
-			switch {
-			case r.Err != nil:
-				st.Status = obsv.CellFailed
-				st.Error = r.Err.Error()
-			default:
-				st.Status = obsv.CellOK
-				if r.Cached {
-					st.Status = obsv.CellCached
-				}
-				res, ok := r.Value.(sim.Result)
-				if !ok {
-					st.Status = obsv.CellFailed
-					st.Error = fmt.Sprintf("exp: cell value is %T, want sim.Result", r.Value)
-					break
-				}
+			if ok {
 				if st.Status == obsv.CellOK {
+					// The simulator's exact count replaces the
+					// harness-observed progress.
 					st.Cycles = res.Cycles
 				}
 				out[v.Name][p.Name] = res
@@ -356,11 +333,31 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 			statuses = append(statuses, st)
 		}
 	}
-	var cstats harness.CacheStats
-	if o.Cache != nil {
-		cstats = o.Cache.Stats().Delta(statsBefore)
+	return out, statuses, o.Cache.Stats().Delta(statsBefore), nil
+}
+
+// cellStatus maps a cell's harness verdict to its run-report entry and
+// returns the cell's value when the cell completed with a T. A cell
+// that errored, panicked or timed out is failed with its error, and so
+// is one whose value is not a T.
+func cellStatus[T any](r harness.CellResult) (obsv.CellStatus, T, bool) {
+	st := obsv.CellStatus{
+		Key:        r.Key,
+		Status:     obsv.CellOK,
+		Panicked:   r.Panicked,
+		ElapsedSec: r.Elapsed.Seconds(),
+		Cycles:     r.Cycles,
 	}
-	return out, statuses, cstats, nil
+	v, ok := r.Value.(T)
+	switch {
+	case r.Err != nil:
+		st.Status, st.Error = obsv.CellFailed, r.Err.Error()
+	case !ok:
+		st.Status, st.Error = obsv.CellFailed, fmt.Sprintf("exp: cell value is %T, want %T", r.Value, v)
+	case r.Cached:
+		st.Status = obsv.CellCached
+	}
+	return st, v, st.Status != obsv.CellFailed
 }
 
 // lookup fetches a completed cell from a matrix, failing with the

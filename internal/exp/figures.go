@@ -148,7 +148,7 @@ func sweep(o Options, title string, points []Variant) (*SweepReport, error) {
 		return nil, err
 	}
 	out := &SweepReport{Title: title, SlowdownPct: map[string]map[string]float64{}}
-	groups := append(suiteGroups(rep.Profiles), "ALL")
+	groups := rep.suiteOrder()
 	out.Groups = groups
 	for _, v := range points {
 		out.Points = append(out.Points, v.Name)
@@ -160,18 +160,6 @@ func sweep(o Options, title string, points []Variant) (*SweepReport, error) {
 		out.SlowdownPct[v.Name] = m
 	}
 	return out, nil
-}
-
-func suiteGroups(profiles []workload.Profile) []string {
-	seen := map[string]bool{}
-	var order []string
-	for _, p := range profiles {
-		if !seen[string(p.Suite)] {
-			seen[string(p.Suite)] = true
-			order = append(order, string(p.Suite))
-		}
-	}
-	return order
 }
 
 // Figure7 reproduces the threshold sensitivity: Hydra at T_RH 500,

@@ -131,8 +131,13 @@ func (c *CellCache) Len() int {
 	return len(c.mem)
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters; a nil cache has
+// none, so traffic taken as a Delta around campaigns without a cache
+// is zero.
 func (c *CellCache) Stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats

@@ -7,34 +7,29 @@
 //
 //   - panics are recovered and converted to a *PanicError carrying the
 //     panicking value and stack; the other cells keep running;
-//   - a progress watchdog cancels cells whose simulated-cycle counter
-//     stops advancing for longer than a stall deadline, and a wall-clock
-//     timeout bounds each cell outright;
+//   - a wall-clock timeout bounds each cell outright;
 //   - completed cells are written to an optional content-addressed
 //     cache (see CellCache), so a campaign rerun over the same cache
 //     directory recomputes only the failed and missing cells.
 //
 // Cells cooperate through two channels: they honor ctx cancellation
 // (the simulator polls it between events) and report simulated cycles
-// via Env.Progress so the watchdog can tell "slow" from "stuck".
+// via Env.Progress, which feeds CellResult.Cycles and the throttled
+// progress events of a campaign Bus.
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// ErrStalled is the cancellation cause installed by the watchdog when
-// a cell's progress counter stops advancing. Test with errors.Is on
-// the cell error.
-var ErrStalled = errors.New("harness: progress stalled")
 
 // PanicError is a recovered cell panic, preserved with its stack.
 type PanicError struct {
@@ -48,9 +43,7 @@ func (e *PanicError) Error() string {
 
 // Env is the environment the harness hands to a running cell.
 type Env struct {
-	// Progress reports the cell's simulated-cycle counter. The watchdog
-	// declares a stall when the reported value stops increasing — calls
-	// repeating the same value do not keep a cell alive. Safe to call
+	// Progress reports the cell's simulated-cycle counter. Safe to call
 	// from the cell's goroutine only; never nil.
 	Progress func(cycle int64)
 }
@@ -86,14 +79,12 @@ type CellResult struct {
 	Value    any   // nil when Err != nil
 	Err      error // nil on success
 	Panicked bool  // the run panicked
-	Stalled  bool  // the run was killed by the watchdog
 	Cached   bool  // value replayed from the result cache; Run never called
 	Elapsed  time.Duration
 	// Cycles is the last simulated-cycle value the cell reported via
 	// Env.Progress — how far a failed cell got, and a harness-level
 	// cross-check for completed ones. Tracked only when the campaign
-	// has a Bus or a stall watchdog; 0 otherwise (and for cached
-	// cells, which never run).
+	// has a Bus; 0 otherwise (and for cached cells, which never run).
 	Cycles int64
 }
 
@@ -104,9 +95,6 @@ type Options struct {
 	Workers int
 	// CellTimeout is the wall-clock budget per cell (0 = unbounded).
 	CellTimeout time.Duration
-	// StallTimeout kills a cell whose progress counter has not advanced
-	// for this long (0 disables the watchdog).
-	StallTimeout time.Duration
 	// Cache, when non-nil, resolves cells by CacheKey before the workers
 	// start (hits never enter the pool) and records each newly computed
 	// cell's value. A failed cell stores nothing.
@@ -173,7 +161,7 @@ func RunCampaign(ctx context.Context, cells []Cell, opts Options) ([]CellResult,
 	// never occupy a worker, then order the remaining cells longest-
 	// processing-time-first to cut makespan — a long cell dispatched
 	// last would otherwise run alone at the tail while the rest of the
-	// pool idles.
+	// pool idles. The generic stable sort allocates nothing.
 	pending := make([]int, 0, len(cells))
 	for i := range cells {
 		if opts.Cache != nil && cells[i].CacheKey != "" {
@@ -188,7 +176,7 @@ func RunCampaign(ctx context.Context, cells []Cell, opts Options) ([]CellResult,
 		}
 		pending = append(pending, i)
 	}
-	sort.SliceStable(pending, func(a, b int) bool { return cells[pending[a]].EstCost > cells[pending[b]].EstCost })
+	slices.SortStableFunc(pending, func(a, b int) int { return cmp.Compare(cells[b].EstCost, cells[a].EstCost) })
 	for _, i := range pending {
 		publishCell(opts.Bus, EvQueued, cells[i], nil)
 	}
@@ -233,38 +221,27 @@ feed:
 // cellObs is the per-cell observation state behind Env.Progress: the
 // latest simulated-cycle value (for CellResult.Cycles and terminal
 // events) plus the throttle for progress events on the bus. Allocated
-// only when a campaign has a Bus or a stall watchdog, so a bare
-// campaign's progress callback stays a no-op.
+// only when a campaign has a Bus, so a bare campaign's progress
+// callback stays a no-op.
 type cellObs struct {
 	cell  Cell
 	bus   *Bus
 	start time.Time
 
 	cycles  atomic.Int64
-	calls   atomic.Int64
-	lastPub atomic.Int64 // unix nanos of the last progress event
+	lastPub atomic.Int64 // unix nanos of the last progress event, or of the start
 }
 
-// progressSampleStride bounds how often the progress path checks the
-// clock: one time.Now per this many Env.Progress calls. The simulator
-// reports progress per event-loop iteration, far too hot to timestamp
-// each call.
-const progressSampleStride = 1024
-
 // progressEvery throttles per-cell progress events on the bus: at most
-// one per cell per interval.
+// one per cell per interval, the first one interval after the start.
+// The simulator reports once per 8,192 event-loop steps, so a report
+// is rare enough to timestamp each one.
 const progressEvery = 500 * time.Millisecond
 
-// observe records a progress report and, on the bus path, publishes a
-// throttled progress event.
+// observe records a progress report and publishes a progress event
+// once progressEvery has passed since the last one.
 func (o *cellObs) observe(cycle int64) {
-	o.cycles.Store(cycle) // progress reports are monotonic (watchdog enforces its own max)
-	if o.bus == nil {
-		return
-	}
-	if o.calls.Add(1)%progressSampleStride != 0 {
-		return
-	}
+	o.cycles.Store(cycle)
 	now := time.Now()
 	last := o.lastPub.Load()
 	if now.UnixNano()-last < int64(progressEvery) || !o.lastPub.CompareAndSwap(last, now.UnixNano()) {
@@ -293,8 +270,9 @@ func publishCell(b *Bus, kind string, cell Cell, mut func(*CellEvent)) {
 func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	start := time.Now()
 	var obs *cellObs
-	if opts.Bus != nil || opts.StallTimeout > 0 {
+	if opts.Bus != nil {
 		obs = &cellObs{cell: cell, bus: opts.Bus, start: start}
+		obs.lastPub.Store(start.UnixNano())
 	}
 	publishCell(opts.Bus, EvStarted, cell, nil)
 	v, err := runGuarded(ctx, cell, opts, obs)
@@ -309,7 +287,6 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	} else {
 		var pe *PanicError
 		res.Panicked = errors.As(err, &pe)
-		res.Stalled = errors.Is(err, ErrStalled)
 	}
 	if obs != nil {
 		res.Cycles = obs.cycles.Load()
@@ -328,8 +305,8 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	return res
 }
 
-// runGuarded runs the cell with panic recovery, wall-clock timeout,
-// the stall watchdog, and the bus progress sampler.
+// runGuarded runs the cell with panic recovery, the wall-clock
+// timeout, and the bus progress sampler.
 func runGuarded(ctx context.Context, cell Cell, opts Options, obs *cellObs) (v any, err error) {
 	if opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -341,17 +318,6 @@ func runGuarded(ctx context.Context, cell Cell, opts Options, obs *cellObs) (v a
 	if obs != nil {
 		progress = obs.observe
 	}
-	if opts.StallTimeout > 0 {
-		var cancel context.CancelCauseFunc
-		ctx, cancel = context.WithCancelCause(ctx)
-		wd := newWatchdog(opts.StallTimeout, cell.Key, cancel)
-		defer wd.stop()
-		inner := progress
-		progress = func(cycle int64) {
-			wd.report(cycle)
-			inner(cycle)
-		}
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			v = nil
@@ -359,60 +325,4 @@ func runGuarded(ctx context.Context, cell Cell, opts Options, obs *cellObs) (v a
 		}
 	}()
 	return cell.Run(ctx, Env{Progress: progress})
-}
-
-// watchdog cancels a cell when the reported progress value stops
-// increasing for longer than the stall deadline.
-type watchdog struct {
-	latest atomic.Int64
-	done   chan struct{}
-	wg     sync.WaitGroup
-}
-
-func newWatchdog(stall time.Duration, key string, cancel context.CancelCauseFunc) *watchdog {
-	w := &watchdog{done: make(chan struct{})}
-	w.latest.Store(-1)
-	interval := stall / 8
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		last := w.latest.Load()
-		lastChange := time.Now()
-		for {
-			select {
-			case <-w.done:
-				return
-			case <-t.C:
-				if cur := w.latest.Load(); cur > last {
-					last = cur
-					lastChange = time.Now()
-				} else if time.Since(lastChange) > stall {
-					cancel(fmt.Errorf("harness: cell %q made no progress for %v (cycle %d): %w",
-						key, stall, last, ErrStalled))
-					return
-				}
-			}
-		}
-	}()
-	return w
-}
-
-func (w *watchdog) report(cycle int64) {
-	// Monotonic max: out-of-order reports never look like progress.
-	for {
-		cur := w.latest.Load()
-		if cycle <= cur || w.latest.CompareAndSwap(cur, cycle) {
-			return
-		}
-	}
-}
-
-func (w *watchdog) stop() {
-	close(w.done)
-	w.wg.Wait()
 }

@@ -54,37 +54,68 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestWatchdogKillsStalledCell(t *testing.T) {
-	cells := []Cell{
-		{Key: "ok", Run: func(ctx context.Context, env Env) (any, error) {
-			for c := int64(0); c < 50; c++ {
-				env.Progress(c)
-				time.Sleep(time.Millisecond)
-			}
-			return "done", nil
-		}},
-		{Key: "stuck", Run: func(ctx context.Context, env Env) (any, error) {
-			// Simulated cycles stop advancing: repeated reports of the
-			// same value must not keep the cell alive.
-			for {
-				env.Progress(7)
-				select {
-				case <-ctx.Done():
-					return nil, context.Cause(ctx)
-				case <-time.After(time.Millisecond):
-				}
-			}
-		}},
+// progressCell runs one cell on a campaign with a Bus. The cell
+// reports a rising simulated cycle about once a millisecond for runFor
+// of wall time; the result is every event the campaign published.
+func progressCell(t *testing.T, runFor time.Duration) []CellEvent {
+	t.Helper()
+	bus := NewBus(0)
+	ch, cancel := bus.Subscribe(4096, false)
+	defer cancel()
+	cell := Cell{Key: "exp/variant/wl", Run: func(ctx context.Context, env Env) (any, error) {
+		start := time.Now()
+		for c := int64(1); time.Since(start) < runFor; c++ {
+			env.Progress(c * 1000)
+			time.Sleep(time.Millisecond)
+		}
+		return "done", nil
+	}}
+	results, err := RunCampaign(context.Background(), []Cell{cell}, Options{Bus: bus})
+	if err != nil || results[0].Err != nil {
+		t.Fatalf("campaign: %v, cell: %+v", err, results[0])
 	}
-	results, err := RunCampaign(context.Background(), cells, Options{StallTimeout: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("campaign error: %v", err)
+	bus.Close()
+	var events []CellEvent
+	for e := range ch {
+		events = append(events, e)
 	}
-	if results[0].Err != nil || results[0].Value != "done" {
-		t.Fatalf("healthy cell disturbed: %+v", results[0])
+	return events
+}
+
+// TestProgressEventsFromSimulatorReports pins the bus progress path:
+// every Env.Progress report is a sample, and one becomes a progress
+// event once progressEvery has passed since the cell started.
+func TestProgressEventsFromSimulatorReports(t *testing.T) {
+	var progress []CellEvent
+	for _, e := range progressCell(t, 700*time.Millisecond) {
+		if e.Kind == EvProgress {
+			progress = append(progress, e)
+		}
 	}
-	if !errors.Is(results[1].Err, ErrStalled) || !results[1].Stalled {
-		t.Fatalf("stuck cell: want ErrStalled, got %+v", results[1])
+	if len(progress) == 0 {
+		t.Fatal("a 700 ms cell reporting every millisecond published no progress event")
+	}
+	for _, e := range progress {
+		if e.Cycles <= 0 || e.ElapsedSec < progressEvery.Seconds() {
+			t.Errorf("progress event %+v: want cycles > 0, no sooner than %v after the start", e, progressEvery)
+		}
+	}
+}
+
+// TestShortCellPublishesNoProgress: a cell that settles within
+// progressEvery publishes only its lifecycle events. Every cell of the
+// end-to-end benchmark's campaigns is that short.
+func TestShortCellPublishesNoProgress(t *testing.T) {
+	var kinds []string
+	events := progressCell(t, 50*time.Millisecond)
+	for _, e := range events {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []string{EvQueued, EvStarted, EvDone}; fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", kinds, want)
+	}
+	if last := events[len(events)-1]; last.Cycles <= 0 {
+		t.Fatalf("done event %+v lost the last reported cycle", last)
 	}
 }
 
@@ -99,8 +130,7 @@ func TestCellTimeout(t *testing.T) {
 			}
 		}
 	}}}
-	results, err := RunCampaign(context.Background(), cells,
-		Options{CellTimeout: 30 * time.Millisecond, StallTimeout: time.Second})
+	results, err := RunCampaign(context.Background(), cells, Options{CellTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("campaign error: %v", err)
 	}

@@ -51,14 +51,11 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 
 	if len(r.Cells) > 0 {
 		counts := map[string]int{}
-		panicked, stalled := 0, 0
+		panicked := 0
 		for _, c := range r.Cells {
 			counts[c.Status]++
 			if c.Panicked {
 				panicked++
-			}
-			if c.Stalled {
-				stalled++
 			}
 		}
 		fmt.Fprintf(b, "  cells: %d total", len(r.Cells))
@@ -69,9 +66,6 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 		}
 		if panicked > 0 {
 			fmt.Fprintf(b, " · %d panicked", panicked)
-		}
-		if stalled > 0 {
-			fmt.Fprintf(b, " · %d stalled", stalled)
 		}
 		b.WriteString("\n")
 		for _, c := range slowestCells(r.Cells, top) {

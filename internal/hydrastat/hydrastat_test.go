@@ -62,13 +62,13 @@ func TestSummarize(t *testing.T) {
 }
 
 // TestSummarizeReadsReportsWithAttempts pins that run reports written
-// while the harness still retried cells, whose cells carry an
-// "attempts" field, decode and summarize.
+// while the harness still retried cells and ran a stall watchdog, whose
+// cells carry "attempts" and "stalled" fields, decode and summarize.
 func TestSummarizeReadsReportsWithAttempts(t *testing.T) {
 	data := []byte(`{"schema":"hydra-report-file/v1","reports":[{"schema":"hydra-run-report/v1",` +
 		`"tool":"experiments","target":"fig5","created_at":"2026-01-02T03:04:05Z","go_version":"go1.22",` +
 		`"cells":[{"key":"fig5/hydra/parest","status":"ok","attempts":1,"elapsed_sec":1.5,"cycles":3000000},` +
-		`{"key":"fig5/hydra/GUPS","status":"failed","error":"boom","attempts":3,"elapsed_sec":0.2}]}]}`)
+		`{"key":"fig5/hydra/GUPS","status":"failed","error":"boom","attempts":3,"stalled":true,"elapsed_sec":0.2}]}]}`)
 	f, err := obsv.DecodeReportFile(data)
 	if err != nil {
 		t.Fatal(err)

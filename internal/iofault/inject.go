@@ -127,31 +127,6 @@ func CrashPlan(n int) func(Op) Fault {
 	}
 }
 
-// SeededPlan returns a deterministic pseudo-random plan: each
-// operation independently draws a fault with probability p (splitmix64
-// over seed and op index, so the same seed replays the same faults),
-// cycling through EIO, ENOSPC, short writes and dropped syncs. Crash
-// is never drawn — combine with CrashPlan via ThenCrash for torn-state
-// sweeps.
-func SeededPlan(seed uint64, p float64) func(Op) Fault {
-	return func(op Op) Fault {
-		h := splitmix64(seed ^ (uint64(op.N)+1)*0x9e3779b97f4a7c15)
-		if float64(h>>11)/float64(1<<53) >= p {
-			return FaultNone
-		}
-		switch h % 4 {
-		case 0:
-			return FaultEIO
-		case 1:
-			return FaultENOSPC
-		case 2:
-			return FaultShortWrite
-		default:
-			return FaultDropSync
-		}
-	}
-}
-
 // ThenCrash layers a crash at operation n over another plan (which may
 // be nil). The crash wins at index n; the base plan rules elsewhere.
 func ThenCrash(base func(Op) Fault, n int) func(Op) Fault {
@@ -164,13 +139,6 @@ func ThenCrash(base func(Op) Fault, n int) func(Op) Fault {
 		}
 		return base(op)
 	}
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4b9f9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Ops reports how many operations have been observed so far: after a

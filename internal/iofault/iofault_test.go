@@ -188,37 +188,6 @@ func TestInjectorFaults(t *testing.T) {
 	})
 }
 
-func TestSeededPlanDeterministic(t *testing.T) {
-	a, b := SeededPlan(42, 0.3), SeededPlan(42, 0.3)
-	diff := SeededPlan(43, 0.3)
-	same, differs := 0, 0
-	var faults int
-	for i := 0; i < 200; i++ {
-		op := Op{N: i}
-		fa, fb := a(op), b(op)
-		if fa != fb {
-			t.Fatalf("same seed diverged at op %d: %v vs %v", i, fa, fb)
-		}
-		if fa != FaultNone {
-			faults++
-		}
-		if fa == diff(op) {
-			same++
-		} else {
-			differs++
-		}
-		if fa == FaultCrash {
-			t.Fatalf("SeededPlan drew FaultCrash at op %d", i)
-		}
-	}
-	if faults == 0 {
-		t.Fatal("p=0.3 over 200 ops drew no faults")
-	}
-	if differs == 0 {
-		t.Fatal("different seeds produced identical plans")
-	}
-}
-
 func TestThenCrash(t *testing.T) {
 	plan := ThenCrash(func(op Op) Fault { return FaultDropSync }, 3)
 	if got := plan(Op{N: 3}); got != FaultCrash {

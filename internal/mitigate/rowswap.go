@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/rh"
+	"repro/internal/rngstream"
 )
 
 // Swapper implements the row-migration mitigation the paper names as
@@ -22,7 +23,7 @@ import (
 type Swapper struct {
 	tracker     rh.Tracker
 	rowsPerBank int
-	rng         swapRNG
+	rng         rngstream.SplitMix64
 
 	toPhys map[rh.Row]rh.Row // logical -> physical (sparse)
 	toLog  map[rh.Row]rh.Row // physical -> logical (sparse)
@@ -34,16 +35,6 @@ type Swapper struct {
 	MigrationActs int64
 }
 
-type swapRNG struct{ state uint64 }
-
-func (s *swapRNG) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // NewSwapper creates a row-swap mitigator around a tracker.
 func NewSwapper(t rh.Tracker, rowsPerBank int, seed uint64) *Swapper {
 	if rowsPerBank <= 0 {
@@ -52,7 +43,7 @@ func NewSwapper(t rh.Tracker, rowsPerBank int, seed uint64) *Swapper {
 	return &Swapper{
 		tracker:     t,
 		rowsPerBank: rowsPerBank,
-		rng:         swapRNG{state: seed ^ 0x5a5a5a5a5a5a},
+		rng:         rngstream.SplitMix64{State: seed ^ 0x5a5a5a5a5a5a},
 		toPhys:      make(map[rh.Row]rh.Row),
 		toLog:       make(map[rh.Row]rh.Row),
 	}
@@ -96,7 +87,7 @@ func (s *Swapper) swap(logicalRow, phys rh.Row) {
 		panic(ErrCascade)
 	}
 	bankBase := rh.Row(int(phys) / s.rowsPerBank * s.rowsPerBank)
-	partnerPhys := bankBase + rh.Row(s.rng.next()%uint64(s.rowsPerBank))
+	partnerPhys := bankBase + rh.Row(s.rng.Next()%uint64(s.rowsPerBank))
 	if partnerPhys == phys {
 		partnerPhys = bankBase + rh.Row((int(partnerPhys)+1-int(bankBase))%s.rowsPerBank)
 	}

@@ -74,7 +74,8 @@ const (
 // CellStatus is the per-cell verdict of a harness campaign: one entry
 // per (variant, workload) simulation, whether it succeeded, was
 // replayed from the result cache, or failed. Decoding must keep
-// ignoring unknown fields: older reports carry a per-cell "attempts".
+// ignoring unknown fields: older reports carry a per-cell "attempts"
+// and "stalled".
 type CellStatus struct {
 	// Key identifies the cell, "target/variant/workload".
 	Key string `json:"key"`
@@ -83,15 +84,14 @@ type CellStatus struct {
 	// Error is the failed cell's error, or the reason a
 	// baseline-missing cell could not be normalized.
 	Error string `json:"error,omitempty"`
-	// Panicked / Stalled flag cells that died by panic or were killed
-	// by the progress watchdog.
+	// Panicked flags a failed cell that died by panic.
 	Panicked bool `json:"panicked,omitempty"`
-	Stalled  bool `json:"stalled,omitempty"`
 	// ElapsedSec is the cell's wall-clock time.
 	ElapsedSec float64 `json:"elapsed_sec,omitempty"`
 	// Cycles is the cell's simulated-cycle count: the simulator's own
-	// result for completed cells, the last watchdog-observed progress
-	// value for failed ones (how far it got before dying). Zero for
+	// result for completed cells, and for a failed one the last cycle
+	// it reported to a campaign with an event bus (how far it got
+	// before dying; 0 without a bus). Zero for
 	// cached cells, which replay a value without simulating.
 	// Together with ElapsedSec this gives hydrastat a cycles-per-second
 	// rate to rank slow cells by.

@@ -1,5 +1,6 @@
 // Package rngstream derives independent per-site PRNG seeds from a
-// single cell seed.
+// single cell seed, and holds the one SplitMix64 generator and
+// finalizer the simulator's components draw from.
 //
 // A simulation cell owns one Seed, but several components inside it
 // need private randomness: the PARA coin-flipper, MINT's interval
@@ -27,21 +28,35 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// splitmix64 is the SplitMix64 finalizer: a full-avalanche bijection,
-// so distinct inputs map to distinct outputs and a one-bit change in
-// the seed or label flips about half the output bits.
-func splitmix64(x uint64) uint64 {
+// Mix is the SplitMix64 finalizer: a full-avalanche bijection, so
+// distinct inputs map to distinct outputs and a one-bit change in the
+// input flips about half the output bits. Mix(x) is the draw a
+// SplitMix64 generator in state x returns next.
+func Mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
+// SplitMix64 is the SplitMix64 generator: a Weyl sequence with step
+// 0x9e3779b97f4a7c15 through the Mix finalizer. Seed it by setting
+// State; the trace generators, the probabilistic trackers, Hydra's
+// row-cipher round keys and the row-swap mitigator all draw from it.
+type SplitMix64 struct{ State uint64 }
+
+// Next returns the next draw and advances the state.
+func (s *SplitMix64) Next() uint64 {
+	x := s.State
+	s.State += 0x9e3779b97f4a7c15
+	return Mix(x)
+}
+
 // Derive returns the seed for the named site within the cell identified
 // by seed. Two rounds of mixing: one over the label hash alone (so
 // seed=0 still separates sites), one folding in the cell seed.
 func Derive(seed uint64, site string) uint64 {
-	return splitmix64(splitmix64(fnv1a(site)) ^ seed)
+	return Mix(Mix(fnv1a(site)) ^ seed)
 }
 
 // DeriveNonzero is Derive for consumers whose generator state must not

@@ -73,3 +73,16 @@ func TestDeriveGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitMix64ReferenceSequence pins the generator to the published
+// SplitMix64 outputs for seed 0, so a mistyped constant cannot pass,
+// and pins Mix(x) as the draw a generator in state x returns.
+func TestSplitMix64ReferenceSequence(t *testing.T) {
+	g := SplitMix64{}
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		state := g.State
+		if got := g.Next(); got != want || got != Mix(state) {
+			t.Fatalf("draw %d = %#x (Mix of its state %#x), want %#x", i, got, Mix(state), want)
+		}
+	}
+}

@@ -61,7 +61,7 @@ func (c Config) Cacheable() bool {
 // Config value was built. It is the preimage of CacheKey and is
 // exposed for debugging cache behaviour ("why did these two cells not
 // dedupe?"). Ctx and Progress are excluded — they control
-// cancellation and watchdog reporting, never the computed Result — as
+// cancellation and progress reporting, never the computed Result — as
 // are the unhashable attachments that Cacheable gates on.
 func (c Config) CanonicalString() string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

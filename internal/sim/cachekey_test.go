@@ -53,7 +53,7 @@ func TestCacheKeyIgnoresRuntimeAttachments(t *testing.T) {
 	c.Ctx = context.Background()
 	c.Progress = func(int64) {}
 	if got := mustKey(t, c); got != base {
-		t.Fatalf("Ctx/Progress changed the key: they control cancellation and watchdog reporting, not the result")
+		t.Fatalf("Ctx/Progress changed the key: they control cancellation and progress reporting, not the result")
 	}
 	// A chaos scenario's Description is a report label; two scenarios
 	// differing only in prose inject identical faults.

@@ -104,13 +104,14 @@ type Config struct {
 
 	// Ctx, when non-nil, is polled periodically by Run; cancelling it
 	// aborts the simulation with the cancellation cause. The campaign
-	// harness uses this to kill stalled or timed-out cells.
+	// harness uses this to kill timed-out cells and to shut a campaign
+	// down on a signal.
 	Ctx context.Context
 
-	// Progress, when non-nil, is called periodically from Run with the
-	// current simulated cycle, so an external watchdog can detect a
-	// stalled simulation. It is called from the simulation goroutine
-	// and must be cheap and non-blocking.
+	// Progress, when non-nil, is called from Run with the current
+	// simulated cycle once per 8,192 event-loop steps; the campaign
+	// harness turns these reports into progress events. It is called
+	// from the simulation goroutine and must be cheap and non-blocking.
 	Progress func(cycle int64)
 
 	// Chaos, when non-nil, injects the scenario's faults (dropped

@@ -174,9 +174,9 @@ type BenchDelta struct {
 // Microbenchmark counts are deterministic and small, so the slack is
 // zero there — going from 0 to 1 allocs/op fails. End-to-end
 // benchmarks that allocate millions of times per op (the figure
-// sweeps run watchdog goroutines and timers) jitter by a handful of
-// allocations between runs; the slack absorbs that without masking a
-// real leak.
+// sweeps schedule cells over a worker pool of goroutines) jitter by a
+// handful of allocations between runs; the slack absorbs that without
+// masking a real leak.
 func allocSlack(base int64) int64 {
 	return base / 1000
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/rh"
+	"repro/internal/rngstream"
 )
 
 // DAPPER is a functional model of the performance-attack-resilient
@@ -88,15 +89,11 @@ func (d *DAPPER) Threshold() int { return d.threshold }
 func (d *DAPPER) EntriesPerBank() int { return d.perBank }
 
 // jitter derives a row's stable early-mitigation offset in
-// [0, jitterMax) from a splitMix64-style hash of the row address. A
-// hash (rather than an RNG draw at insertion) keeps the offset stable
+// [0, jitterMax) from a SplitMix64 hash of the row address. A hash
+// (rather than an RNG draw at insertion) keeps the offset stable
 // across evictions, so an attacker cannot re-roll it by thrashing.
 func (d *DAPPER) jitter(row rh.Row) int {
-	z := uint64(row) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(d.jitterMax))
+	return int(rngstream.Mix(uint64(row)) % uint64(d.jitterMax))
 }
 
 // Activate implements rh.Tracker: the Graphene update with a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/rh"
+	"repro/internal/rngstream"
 )
 
 // DCBF is a functional model of the dual counting-Bloom-filter tracker
@@ -63,7 +64,7 @@ func NewDCBF(geom Geometry, trh, countersPerBank int, seed uint64) (*DCBF, error
 	if countersPerBank <= 0 {
 		countersPerBank = 32 * geom.ACTMax / trh
 	}
-	rng := splitMix64{state: seed}
+	rng := rngstream.SplitMix64{State: seed}
 	d := &DCBF{
 		geom:      geom,
 		threshold: threshold,
@@ -72,7 +73,7 @@ func NewDCBF(geom Geometry, trh, countersPerBank int, seed uint64) (*DCBF, error
 		halfEach:  geom.ACTMax / 2,
 	}
 	for i := range d.hashSeeds {
-		d.hashSeeds[i] = rng.next() | 1
+		d.hashSeeds[i] = rng.Next() | 1
 	}
 	for i := range d.banks {
 		d.banks[i] = dcbfBank{

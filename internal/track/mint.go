@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/rh"
+	"repro/internal/rngstream"
 )
 
 // MINT is a functional model of the Minimalist In-DRAM Tracker
@@ -33,7 +34,7 @@ type MINT struct {
 	geom     Geometry
 	interval int // W, activations per selection interval
 	banks    []mintBank
-	rng      splitMix64
+	rng      rngstream.SplitMix64
 
 	// Mitigations counts mitigations issued over the tracker lifetime.
 	Mitigations int64
@@ -69,10 +70,10 @@ func NewMINT(geom Geometry, trh, intervalActs int, seed uint64) (*MINT, error) {
 		geom:     geom,
 		interval: intervalActs,
 		banks:    make([]mintBank, geom.Banks),
-		rng:      splitMix64{state: seed},
+		rng:      rngstream.SplitMix64{State: seed},
 	}
 	for i := range m.banks {
-		m.banks[i].slot = int(m.rng.next() % uint64(m.interval))
+		m.banks[i].slot = int(m.rng.Next() % uint64(m.interval))
 	}
 	return m, nil
 }
@@ -102,7 +103,7 @@ func (m *MINT) Activate(row rh.Row) bool {
 	b.pos++
 	if b.pos >= m.interval {
 		b.pos = 0
-		b.slot = int(m.rng.next() % uint64(m.interval))
+		b.slot = int(m.rng.Next() % uint64(m.interval))
 	}
 	if hit {
 		m.Mitigations++

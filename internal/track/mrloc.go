@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/rh"
+	"repro/internal/rngstream"
 )
 
 // MRLoC is a functional model of the memory-locality-based
@@ -21,7 +22,7 @@ import (
 type MRLoC struct {
 	geom  Geometry
 	banks []mrlocBank
-	rng   splitMix64
+	rng   rngstream.SplitMix64
 
 	// Mitigations counts mitigations issued over the tracker lifetime.
 	Mitigations int64
@@ -48,7 +49,7 @@ func NewMRLoC(geom Geometry, seed uint64) (*MRLoC, error) {
 	return &MRLoC{
 		geom:  geom,
 		banks: make([]mrlocBank, geom.Banks),
-		rng:   splitMix64{state: seed},
+		rng:   rngstream.SplitMix64{State: seed},
 	}, nil
 }
 
@@ -77,7 +78,7 @@ func (m *MRLoC) Activate(row rh.Row) bool {
 		if p > 1<<32-1 {
 			p = 1<<32 - 1
 		}
-		if m.rng.next()&0xFFFFFFFF < p {
+		if m.rng.Next()&0xFFFFFFFF < p {
 			b.queue = append(b.queue[:i], b.queue[i+1:]...)
 			m.Mitigations++
 			return true

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/rh"
+	"repro/internal/rngstream"
 )
 
 // PARA is the stateless probabilistic tracker of Kim et al. (ISCA
@@ -15,22 +16,12 @@ import (
 type PARA struct {
 	p       float64
 	pFixed  uint64 // p scaled to 2^32 for a branch-free comparison
-	rng     splitMix64
+	rng     rngstream.SplitMix64
 	trh     int
 	failure float64
 
 	// Mitigations counts mitigations issued over the tracker lifetime.
 	Mitigations int64
-}
-
-type splitMix64 struct{ state uint64 }
-
-func (s *splitMix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 var _ rh.Tracker = (*PARA)(nil)
@@ -50,7 +41,7 @@ func NewPARA(trh int, failProb float64, seed uint64) (*PARA, error) {
 	return &PARA{
 		p:       p,
 		pFixed:  uint64(p * float64(1<<32)),
-		rng:     splitMix64{state: seed},
+		rng:     rngstream.SplitMix64{State: seed},
 		trh:     trh,
 		failure: failProb,
 	}, nil
@@ -73,7 +64,7 @@ func (p *PARA) Probability() float64 { return p.p }
 
 // Activate implements rh.Tracker.
 func (p *PARA) Activate(rh.Row) bool {
-	if p.rng.next()&0xFFFFFFFF < p.pFixed {
+	if p.rng.Next()&0xFFFFFFFF < p.pFixed {
 		p.Mitigations++
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/rh"
+	"repro/internal/rngstream"
 )
 
 // ProHIT is a functional model of the probabilistic hot-row
@@ -27,7 +28,7 @@ type ProHIT struct {
 	geom    Geometry
 	pInsert uint64 // scaled to 2^32
 	banks   []prohitBank
-	rng     splitMix64
+	rng     rngstream.SplitMix64
 
 	// Mitigations counts mitigations issued over the tracker lifetime.
 	Mitigations int64
@@ -58,7 +59,7 @@ func NewProHIT(geom Geometry, pInsert float64, seed uint64) (*ProHIT, error) {
 		geom:    geom,
 		pInsert: uint64(pInsert * float64(1<<32)),
 		banks:   make([]prohitBank, geom.Banks),
-		rng:     splitMix64{state: seed},
+		rng:     rngstream.SplitMix64{State: seed},
 	}, nil
 }
 
@@ -110,14 +111,14 @@ func (p *ProHIT) Activate(row rh.Row) bool {
 		return false
 	}
 	// Miss: probabilistic insertion into the cold set.
-	if p.rng.next()&0xFFFFFFFF >= p.pInsert {
+	if p.rng.Next()&0xFFFFFFFF >= p.pInsert {
 		return false
 	}
 	if len(b.cold) < prohitColdEntries {
 		b.cold = append(b.cold, row)
 		return false
 	}
-	victim := int(p.rng.next() % uint64(len(b.cold)))
+	victim := int(p.rng.Next() % uint64(len(b.cold)))
 	b.cold[victim] = row
 	return false
 }

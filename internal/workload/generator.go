@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/dram"
+	"repro/internal/rngstream"
 )
 
 // Request is one memory access seen by the memory controller: Gap
@@ -60,7 +61,7 @@ func hotBudget(i int, seed uint64) int {
 type Stream struct {
 	p   Profile
 	cfg StreamConfig
-	rng splitMix
+	rng rngstream.SplitMix64
 
 	// Bit widths of the power-of-two geometry counts
 	// (dram.Config.Validate): virtual rows stripe over banks by mask.
@@ -106,16 +107,6 @@ type Stream struct {
 type hotSlot struct {
 	virtRow int
 	left    int
-}
-
-type splitMix struct{ state uint64 }
-
-func (s *splitMix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 const hotBlockSize = 16
@@ -192,7 +183,7 @@ func newStream(p Profile, cfg StreamConfig, perm []int32) (*Stream, error) {
 	s := &Stream{
 		p:          p,
 		cfg:        cfg,
-		rng:        splitMix{state: cfg.Seed ^ (uint64(cfg.CoreID+1) * 0xabcdef123457)},
+		rng:        rngstream.SplitMix64{State: cfg.Seed ^ (uint64(cfg.CoreID+1) * 0xabcdef123457)},
 		bankBits:   uint(bits.TrailingZeros(uint(cfg.Mem.TotalBanks()))),
 		chBits:     uint(bits.TrailingZeros(uint(cfg.Mem.Channels))),
 		rankBits:   uint(bits.TrailingZeros(uint(cfg.Mem.RanksPerChannel))),
@@ -251,9 +242,9 @@ func placement(rows int, seed uint64) []int32 {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	rng := splitMix{state: seed ^ 0x5eed5eed5eed}
+	rng := rngstream.SplitMix64{State: seed ^ 0x5eed5eed5eed}
 	for i := len(perm) - 1; i > 0; i-- {
-		j := int(rng.next() % uint64(i+1))
+		j := int(rng.Next() % uint64(i+1))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return perm
@@ -316,7 +307,7 @@ func (s *Stream) Next() (req Request, ok bool) {
 	s.actsLeft--
 
 	virtRow := s.nextRow()
-	col := int(s.rng.next() & uint64(s.cfg.Mem.LinesPerRow()-1))
+	col := int(s.rng.Next() & uint64(s.cfg.Mem.LinesPerRow()-1))
 	burst := s.cfg.Burst
 	if s.gupsMode {
 		burst = 1
@@ -327,7 +318,7 @@ func (s *Stream) Next() (req Request, ok bool) {
 	}
 	s.remember(first.Line)
 	// Writebacks target a recently used line (an LLC dirty eviction).
-	if s.cfg.WriteFrac > 0 && s.rng.next()&0xFFFFFFFF < uint64(s.cfg.WriteFrac*float64(1<<32)) {
+	if s.cfg.WriteFrac > 0 && s.rng.Next()&0xFFFFFFFF < uint64(s.cfg.WriteFrac*float64(1<<32)) {
 		s.pending = append(s.pending, Request{Gap: 0, Write: true, Line: s.recall()})
 	}
 	return first, true
@@ -346,16 +337,16 @@ func (s *Stream) recall() uint64 {
 	if n > len(s.recent) {
 		n = len(s.recent)
 	}
-	return s.recent[int(s.rng.next()%uint64(n))]
+	return s.recent[int(s.rng.Next()%uint64(n))]
 }
 
 // nextRow picks the virtual row of the next activation.
 func (s *Stream) nextRow() int {
 	if s.gupsMode {
 		// GUPS: uniformly random rows across the whole footprint.
-		return int(s.rng.next() % uint64(s.uniqueRows))
+		return int(s.rng.Next() % uint64(s.uniqueRows))
 	}
-	if s.hotRows > 0 && s.rng.next()&0xFFFFFFFF < s.pHot32 {
+	if s.hotRows > 0 && s.rng.Next()&0xFFFFFFFF < s.pHot32 {
 		if row, ok := s.nextHot(); ok {
 			return row
 		}
@@ -382,7 +373,7 @@ func (s *Stream) nextCold() int {
 	if len(s.coldWin) == 0 {
 		return 0
 	}
-	i := int(s.rng.next() % uint64(len(s.coldWin)))
+	i := int(s.rng.Next() % uint64(len(s.coldWin)))
 	slot := &s.coldWin[i]
 	row := slot.virtRow
 	slot.left--
@@ -406,7 +397,7 @@ func (s *Stream) nextHot() (int, bool) {
 	if len(s.block) == 0 {
 		return 0, false
 	}
-	i := int(s.rng.next() % uint64(len(s.block)))
+	i := int(s.rng.Next() % uint64(len(s.block)))
 	slot := &s.block[i]
 	row := slot.virtRow
 	slot.left--
