@@ -37,7 +37,6 @@ func run(ctx context.Context, args []string) error {
 	acts := fs.Int("acts", 2_000_000, "demand activations per window")
 	windows := fs.Int("windows", 2, "tracking windows (reset between)")
 	full := fs.Bool("full", false, "run the attack through the full timing simulator (hydra only)")
-	listen := fs.String("listen", "", "serve live telemetry (/healthz, pprof) on this address")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile")
 	if err := cli.ParseError(fs.Parse(args)); err != nil {
@@ -49,11 +48,6 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	defer stopProfiles()
-	stopTelemetry, err := obsv.ListenFlag(*listen, obsv.ServerOptions{})
-	if err != nil {
-		return err
-	}
-	defer stopTelemetry() //nolint:errcheck // best-effort shutdown on exit
 
 	if *full {
 		if err := runFullSystem(ctx, *trh, *acts); err != nil {

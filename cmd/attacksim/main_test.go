@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
@@ -87,5 +88,13 @@ func TestUnknownTrackerIsUsageError(t *testing.T) {
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitUsage {
 		t.Fatalf("exit = %v, want code %d\n%s", err, cli.ExitUsage, out)
+	}
+}
+
+// TestListenIsUnknown pins that attacksim has no telemetry server.
+func TestListenIsUnknown(t *testing.T) {
+	err := run(context.Background(), []string{"-listen", ":0", "-tracker", "hydra", "-acts", "1000", "-windows", "1"})
+	if want := "flag provided but not defined: -listen"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("run returned %v, want an error containing %q", err, want)
 	}
 }

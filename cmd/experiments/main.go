@@ -22,8 +22,6 @@
 //	-par N            parallel simulations (default NumCPU)
 //	-seed N           workload seed (0 is a valid seed)
 //	-json FILE        write a machine-readable run report ("-" = stdout)
-//	-trace FILE       write a JSONL event trace (serializes the sweep)
-//	-trace-cap N      event ring capacity (oldest dropped beyond this)
 //	-cell-timeout D   wall-clock budget per sweep cell (0 = unbounded)
 //	-chaos a,b        restrict the chaos target to the named scenarios
 //	-cache-dir DIR    persist the content-addressed result cache to DIR
@@ -57,7 +55,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -84,8 +81,6 @@ func run(ctx context.Context, args []string) error {
 	par := fs.Int("par", 0, "parallel simulations (0 = NumCPU)")
 	seed := fs.Uint64("seed", 1, "workload seed (0 is a valid seed)")
 	jsonOut := fs.String("json", "", "write a run-report JSON file (\"-\" = stdout)")
-	traceOut := fs.String("trace", "", "write a JSONL event trace (serializes the sweep)")
-	traceCap := fs.Int("trace-cap", 1<<20, "event-trace ring capacity")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock budget per sweep cell (0 = unbounded)")
 	chaos := fs.String("chaos", "", "comma-separated chaos scenarios (default: all built-ins)")
 	cacheDir := fs.String("cache-dir", "", "persist the result cache to this directory across runs")
@@ -108,9 +103,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
-	}
-	if *traceOut != "" {
-		opts.Trace = obsv.NewTracer(*traceCap)
 	}
 	if !*noCache {
 		// One cache across every target of this invocation: the shared
@@ -161,17 +153,19 @@ func run(ctx context.Context, args []string) error {
 	}
 	defer stopProfiles()
 
-	// Live telemetry: one bus and one registry span every target of the
-	// invocation, so /events and /metrics describe the whole campaign.
+	// Live telemetry: one bus spans every target of the invocation, so
+	// /events and the progress line describe the whole campaign. The
+	// live registry is built only for -listen, its one reader (/metrics).
 	stopProgress := func() {}
 	if *listen != "" || *progress {
 		opts.Bus = harness.NewBus(0)
-		opts.Live = obsv.NewRegistry()
 		defer opts.Bus.Close()
-		stopTelemetry, err := obsv.ListenFlag(*listen, obsv.ServerOptions{
-			Gather: opts.Live.Snapshot,
-			Events: opts.Bus,
-		})
+		srv := obsv.ServerOptions{Events: opts.Bus}
+		if *listen != "" {
+			opts.Live = obsv.NewRegistry()
+			srv.Gather = opts.Live.Snapshot
+		}
+		stopTelemetry, err := obsv.ListenFlag(*listen, srv)
 		if err != nil {
 			return err
 		}
@@ -221,31 +215,7 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("json: %w", err)
 		}
 	}
-	if *traceOut != "" {
-		if err := writeTrace(opts.Trace, *traceOut); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
 	return stopProfiles()
-}
-
-// writeTrace dumps the event ring as JSONL.
-func writeTrace(tr *obsv.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if d := tr.Dropped(); d > 0 {
-		fmt.Printf("[trace ring dropped %d oldest events; raise -trace-cap to keep more]\n", d)
-	}
-	return nil
 }
 
 // formatter is implemented by every structured report.

@@ -17,11 +17,10 @@
 // (see workload.ParseProfile).
 //
 // -json writes a machine-readable run report (schema
-// hydra-run-report/v1), -trace a JSONL event trace, and
-// -cpuprofile/-memprofile pprof profiles; all are documented in
-// docs/METRICS.md. -listen serves the telemetry plane (/healthz and
-// /debug/pprof during the run; /metrics carries the tracked run's
-// metrics once it completes).
+// hydra-run-report/v1), -trace a JSONL event trace of the tracked run
+// (no other binary writes one), and -cpuprofile/-memprofile pprof
+// profiles; all are documented in docs/METRICS.md. -tracedir replays
+// the files tracegen writes: core i replays core{i}.trc.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 130
 // interrupted.
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/cli"
@@ -61,7 +59,6 @@ func run(ctx context.Context, args []string) error {
 	jsonOut := fs.String("json", "", "write a run-report JSON file (\"-\" = stdout)")
 	traceOut := fs.String("trace", "", "write a JSONL event trace of the tracked run")
 	traceCap := fs.Int("trace-cap", 1<<20, "event-trace ring capacity")
-	listen := fs.String("listen", "", "serve live telemetry (/metrics, pprof) on this address")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile")
 	if err := cli.ParseError(fs.Parse(args)); err != nil {
@@ -85,16 +82,6 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	defer stopProfiles()
-
-	// The telemetry server starts before the (blocking) simulation so
-	// /debug/pprof can profile it live; /metrics serves the tracked
-	// run's snapshot once the run completes.
-	live := obsv.NewRegistry()
-	stopTelemetry, err := obsv.ListenFlag(*listen, obsv.ServerOptions{Gather: live.Snapshot})
-	if err != nil {
-		return err
-	}
-	defer stopTelemetry() //nolint:errcheck // best-effort shutdown on exit
 
 	cfg := sim.Default(p)
 	cfg.Ctx = ctx // SIGINT/SIGTERM aborts the run (exit 130)
@@ -126,7 +113,6 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	live.Merge(res.Metrics)
 
 	fmt.Printf("workload   %s (%s)\n", res.Workload, p.Suite)
 	fmt.Printf("tracker    %s (SRAM %d bytes)\n", res.Tracker, res.SRAMBytes)
@@ -206,8 +192,11 @@ func run(ctx context.Context, args []string) error {
 	return stopProfiles()
 }
 
-// loadTraces opens every core*.trc in dir, in core order. The returned
-// closers are valid even on error (close what was opened).
+// loadTraces opens the n core*.trc files in dir as core0.trc through
+// core{n-1}.trc, so core i replays core{i}.trc (a name sort would hand
+// core 2 core10.trc); any other core*.trc name fails as a missing
+// file. The returned closers are valid even on error (close what was
+// opened).
 func loadTraces(dir string) ([]cpu.TraceSource, []*os.File, error) {
 	files, err := filepath.Glob(filepath.Join(dir, "core*.trc"))
 	if err != nil {
@@ -216,10 +205,10 @@ func loadTraces(dir string) ([]cpu.TraceSource, []*os.File, error) {
 	if len(files) == 0 {
 		return nil, nil, fmt.Errorf("no core*.trc files in %s", dir)
 	}
-	sort.Strings(files)
 	var srcs []cpu.TraceSource
 	var closers []*os.File
-	for _, path := range files {
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("core%d.trc", i))
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, closers, err

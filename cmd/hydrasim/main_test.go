@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obsv"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // traceKinds runs hydrasim with args plus -trace into a temporary file
@@ -73,5 +77,56 @@ func TestTraceCapBoundsTrace(t *testing.T) {
 func TestWorkloadList(t *testing.T) {
 	if err := run(context.Background(), []string{"-workload", "list"}); err != nil {
 		t.Fatalf("-workload list: %v", err)
+	}
+}
+
+// TestTraceDirReplaysCoreByIndex: with 12 recorded cores, core i
+// replays core{i}.trc; a name sort would hand core 2 core10.trc.
+func TestTraceDirReplaysCoreByIndex(t *testing.T) {
+	const cores = 12
+	dir := t.TempDir()
+	for i := 0; i < cores; i++ {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("core%d.trc", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := trace.NewWriter(f)
+		if err == nil {
+			err = w.Write(workload.Request{Line: uint64(i)})
+		}
+		if err == nil {
+			err = w.Flush()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	srcs, closers, err := loadTraces(dir)
+	for _, c := range closers {
+		defer c.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(srcs) != cores {
+		t.Fatalf("loaded %d sources, want %d", len(srcs), cores)
+	}
+	for i, src := range srcs {
+		if r, ok := src.Next(); !ok || r.Line != uint64(i) {
+			t.Errorf("core %d replays the record tagged %d (ok=%v), want %d", i, r.Line, ok, i)
+		}
+	}
+}
+
+// TestListenIsUnknown pins that hydrasim has no telemetry server: a
+// one-shot run's metrics go to -json, its profiles to -cpuprofile and
+// -memprofile.
+func TestListenIsUnknown(t *testing.T) {
+	err := run(context.Background(), []string{"-listen", ":0", "-workload", "list"})
+	if want := "flag provided but not defined: -listen"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("run returned %v, want an error containing %q", err, want)
 	}
 }

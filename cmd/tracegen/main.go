@@ -36,7 +36,6 @@ func run(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "generator seed")
 	out := fs.String("out", "", "output directory (created if missing)")
 	verify := fs.String("verify", "", "verify a recorded trace directory and print stats")
-	listen := fs.String("listen", "", "serve live telemetry (/healthz, pprof) on this address")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile")
 	if err := cli.ParseError(fs.Parse(args)); err != nil {
@@ -48,11 +47,6 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	defer stopProfiles()
-	stopTelemetry, err := obsv.ListenFlag(*listen, obsv.ServerOptions{})
-	if err != nil {
-		return err
-	}
-	defer stopTelemetry() //nolint:errcheck // best-effort shutdown on exit
 
 	if *verify != "" {
 		if err := verifyDir(*verify); err != nil {

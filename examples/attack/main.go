@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -54,7 +55,10 @@ func main() {
 	}
 
 	fmt.Println("\n=== Undersized TWiCE under the thrash pattern ===")
-	weak := track.MustNewTWiCE(geom, trh, 128) // far below the safe sizing
+	weak, err := track.NewTWiCE(geom, trh, 128) // far below the safe sizing
+	if err != nil {
+		log.Fatal(err)
+	}
 	res := attack.Run(weak, &attack.Thrash{
 		Target:     victim,
 		Distractor: func(i int) rh.Row { return rh.Row(10000 + i) },

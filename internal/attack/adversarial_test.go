@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rh"
+	"repro/internal/testutil"
 	"repro/internal/track"
 )
 
@@ -81,10 +82,10 @@ func TestHydraClassSurvivesAdversaries(t *testing.T) {
 	geom := arenaGeom()
 	makers := map[string]func() rh.Tracker{
 		"hydra":    func() rh.Tracker { return arenaHydra(t) },
-		"graphene": func() rh.Tracker { return track.MustNewGraphene(geom, arenaTRH) },
-		"start":    func() rh.Tracker { return track.MustNewSTART(geom, arenaTRH, 0) },
-		"dapper":   func() rh.Tracker { return track.MustNewDAPPER(geom, arenaTRH) },
-		"ocpr":     func() rh.Tracker { return track.MustNewOCPR(geom, arenaTRH) },
+		"graphene": func() rh.Tracker { return testutil.Must(track.NewGraphene(geom, arenaTRH)) },
+		"start":    func() rh.Tracker { return testutil.Must(track.NewSTART(geom, arenaTRH, 0)) },
+		"dapper":   func() rh.Tracker { return testutil.Must(track.NewDAPPER(geom, arenaTRH)) },
+		"ocpr":     func() rh.Tracker { return testutil.Must(track.NewOCPR(geom, arenaTRH)) },
 	}
 	for name, mk := range makers {
 		for _, a := range Adversaries() {
@@ -107,13 +108,13 @@ func TestMINTDefeatedByDilution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runAdversary(t, track.MustNewMINT(geom, arenaTRH, 0, 3), dilute)
+	res := runAdversary(t, testutil.Must(track.NewMINT(geom, arenaTRH, 0, 3)), dilute)
 	if res.Safe() {
 		t.Fatalf("mint survived dilution: maxUnmitig=%d (fixed-seed escape lost)", res.MaxUnmitig)
 	}
 
 	// Control: a single-sided hammer is caught every interval.
-	single := Run(track.MustNewMINT(geom, arenaTRH, 0, 3), &SingleSided{Target: 9}, Config{
+	single := Run(testutil.Must(track.NewMINT(geom, arenaTRH, 0, 3)), &SingleSided{Target: 9}, Config{
 		TRH:         arenaTRH,
 		RowsPerBank: geom.RowsPerBank,
 		ActsPerWin:  geom.ACTMax / 2,
@@ -136,9 +137,9 @@ func TestBudgetSTARTBrokenByEvictionStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := track.MustNewSTART(geom, arenaTRH, 32*8) // 32 entries
+	budget := testutil.Must(track.NewSTART(geom, arenaTRH, 32*8)) // 32 entries
 	resBudget := runAdversary(t, budget, storm)
-	full := track.MustNewSTART(geom, arenaTRH, 0)
+	full := testutil.Must(track.NewSTART(geom, arenaTRH, 0))
 	resFull := runAdversary(t, full, storm)
 	if !resFull.Safe() {
 		t.Fatalf("guarantee-sized start broken by eviction storm: %+v", resFull.Violations[0])
@@ -163,8 +164,8 @@ func TestMitigStormDesynchronizedByDAPPER(t *testing.T) {
 		RowsPerBank: geom.RowsPerBank,
 		ActsPerWin:  storm.Acts(geom, arenaTRH),
 	}
-	gPeak, gTotal := MitigationBurst(track.MustNewGraphene(geom, arenaTRH), storm.Pattern(geom, arenaTRH), cfg, stormHerd)
-	dPeak, dTotal := MitigationBurst(track.MustNewDAPPER(geom, arenaTRH), storm.Pattern(geom, arenaTRH), cfg, stormHerd)
+	gPeak, gTotal := MitigationBurst(testutil.Must(track.NewGraphene(geom, arenaTRH)), storm.Pattern(geom, arenaTRH), cfg, stormHerd)
+	dPeak, dTotal := MitigationBurst(testutil.Must(track.NewDAPPER(geom, arenaTRH)), storm.Pattern(geom, arenaTRH), cfg, stormHerd)
 	t.Logf("storm peaks: graphene=%d/%d dapper=%d/%d (peak/total)", gPeak, gTotal, dPeak, dTotal)
 	if gTotal == 0 || dTotal == 0 {
 		t.Fatal("storm produced no mitigations")

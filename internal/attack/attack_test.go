@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mitigate"
 	"repro/internal/rh"
+	"repro/internal/testutil"
 	"repro/internal/track"
 )
 
@@ -80,8 +81,8 @@ func TestGrapheneAndOCPRSurviveThrash(t *testing.T) {
 		}
 	}
 	for _, tr := range []rh.Tracker{
-		track.MustNewGraphene(testGeom(), testTRH),
-		track.MustNewOCPR(testGeom(), testTRH),
+		testutil.Must(track.NewGraphene(testGeom(), testTRH)),
+		testutil.Must(track.NewOCPR(testGeom(), testTRH)),
 	} {
 		res := Run(tr, thrash(), runCfg())
 		if !res.Safe() {
@@ -94,7 +95,7 @@ func TestGrapheneAndOCPRSurviveThrash(t *testing.T) {
 // weakness the paper describes (Section 2.4): a tracker without enough
 // entries loses the aggressor when the table is thrashed.
 func TestUndersizedTWiCEBreaksUnderThrash(t *testing.T) {
-	tw := track.MustNewTWiCE(testGeom(), testTRH, 8) // far too small
+	tw := testutil.Must(track.NewTWiCE(testGeom(), testTRH, 8)) // far too small
 	p := &Thrash{
 		Target:     rh.Row(500),
 		Distractor: func(i int) rh.Row { return rh.Row(i) % testRPB },
@@ -191,7 +192,7 @@ func TestCounterRowAttack(t *testing.T) {
 	// CRA has no metadata guard: the same pressure breaks its rows.
 	oracle2 := NewOracle(testTRH)
 	sink2 := &MetaRowSink{RowBytes: 8192, Oracle: oracle2, MetaBase: rh.Row(testRows)}
-	c := track.MustNewCRA(testGeom(), testTRH, 256, sink2)
+	c := testutil.Must(track.NewCRA(testGeom(), testTRH, 256, sink2))
 	sink2.Guard = c
 	for i := 0; i < 30000; i++ {
 		row := rh.Row((i * 64) % testRows) // one line per activation
@@ -264,12 +265,12 @@ func TestOracleMitigationAtThresholdIsSafe(t *testing.T) {
 // TestPARAIsProbabilistic shows PARA has no guarantee: with a weak
 // probability it misses, with the derived probability it usually holds.
 func TestPARAIsProbabilistic(t *testing.T) {
-	weak := track.MustNewPARA(testTRH, 0.9, 7) // p ~ 0.001
+	weak := testutil.Must(track.NewPARA(testTRH, 0.9, 7)) // p ~ 0.001
 	res := Run(weak, &SingleSided{Target: 500}, runCfg())
 	if res.Safe() {
 		t.Fatal("weak PARA survived 20000 hammers; expected misses")
 	}
-	strong := track.MustNewPARA(testTRH, 1e-12, 7) // p ~ 0.24
+	strong := testutil.Must(track.NewPARA(testTRH, 1e-12, 7)) // p ~ 0.24
 	res = Run(strong, &SingleSided{Target: 500}, runCfg())
 	if !res.Safe() {
 		t.Fatalf("strong PARA broken (possible but ~1e-8 unlikely): %+v", res.Violations[0])
@@ -302,8 +303,8 @@ func TestProbabilisticTrackersBreakUnderThrash(t *testing.T) {
 	}
 	cfg := runCfg()
 	for _, tr := range []rh.Tracker{
-		track.MustNewProHIT(testGeom(), 1.0/16, 7),
-		track.MustNewMRLoC(testGeom(), 7),
+		testutil.Must(track.NewProHIT(testGeom(), 1.0/16, 7)),
+		testutil.Must(track.NewMRLoC(testGeom(), 7)),
 	} {
 		res := Run(tr, mk(), cfg)
 		if res.Safe() {
@@ -347,7 +348,7 @@ func TestRandomizedAdversarySearch(t *testing.T) {
 		if res := Run(smallHydra(t), mk(), runCfg()); !res.Safe() {
 			t.Fatalf("hydra broken by random mix %+v: %+v", m, res.Violations[0])
 		}
-		if res := Run(track.MustNewMRLoC(testGeom(), uint64(i)), mk(), runCfg()); !res.Safe() {
+		if res := Run(testutil.Must(track.NewMRLoC(testGeom(), uint64(i))), mk(), runCfg()); !res.Safe() {
 			broken++
 		}
 	}

@@ -78,15 +78,6 @@ func New(entries, ways int, policy Policy) (*SetAssoc, error) {
 	}, nil
 }
 
-// MustNew is New for statically valid geometries.
-func MustNew(entries, ways int, policy Policy) *SetAssoc {
-	c, err := New(entries, ways, policy)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Entries returns the total capacity in entries.
 func (c *SetAssoc) Entries() int { return c.sets * c.ways }
 

@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -14,14 +16,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(16, 4, Policy(99)); err == nil {
 		t.Error("unknown policy should error")
 	}
-	c := MustNew(32, 4, SRRIP)
+	c := testutil.Must(New(32, 4, SRRIP))
 	if c.Sets() != 8 || c.Ways() != 4 || c.Entries() != 32 {
 		t.Fatalf("geometry = %d sets x %d ways", c.Sets(), c.Ways())
 	}
 }
 
 func TestHitMissAccounting(t *testing.T) {
-	c := MustNew(16, 4, LRU)
+	c := testutil.Must(New(16, 4, LRU))
 	if _, ok := c.Lookup(42); ok {
 		t.Fatal("hit in empty cache")
 	}
@@ -36,7 +38,7 @@ func TestHitMissAccounting(t *testing.T) {
 }
 
 func TestUpdateAndDirtyEviction(t *testing.T) {
-	c := MustNew(4, 4, LRU) // single set of 4 ways
+	c := testutil.Must(New(4, 4, LRU)) // single set of 4 ways
 	for k := uint64(0); k < 4; k++ {
 		c.Insert(k*4, uint32(k), false) // all map to set 0
 	}
@@ -64,7 +66,7 @@ func TestUpdateAndDirtyEviction(t *testing.T) {
 }
 
 func TestInsertResidentUpdates(t *testing.T) {
-	c := MustNew(8, 2, LRU)
+	c := testutil.Must(New(8, 2, LRU))
 	c.Insert(5, 1, false)
 	if _, ev := c.Insert(5, 2, true); ev {
 		t.Fatal("re-insert evicted something")
@@ -79,7 +81,7 @@ func TestInsertResidentUpdates(t *testing.T) {
 }
 
 func TestSRRIPHitPromotion(t *testing.T) {
-	c := MustNew(4, 4, SRRIP)
+	c := testutil.Must(New(4, 4, SRRIP))
 	for k := uint64(0); k < 4; k++ {
 		c.Insert(k*4, 0, false)
 	}
@@ -95,7 +97,7 @@ func TestSRRIPHitPromotion(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := MustNew(8, 2, LRU)
+	c := testutil.Must(New(8, 2, LRU))
 	c.Insert(3, 9, true)
 	e, ok := c.Invalidate(3)
 	if !ok || e.Val != 9 || !e.Dirty {
@@ -110,7 +112,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	c := MustNew(8, 2, SRRIP)
+	c := testutil.Must(New(8, 2, SRRIP))
 	c.Insert(1, 1, true)
 	c.Lookup(1)
 	c.Lookup(2)
@@ -124,7 +126,7 @@ func TestReset(t *testing.T) {
 // holds duplicates, and a Lookup immediately after Insert always hits.
 func TestCacheInvariants(t *testing.T) {
 	for _, policy := range []Policy{LRU, SRRIP} {
-		c := MustNew(64, 8, policy)
+		c := testutil.Must(New(64, 8, policy))
 		f := func(keys []uint16) bool {
 			for _, k := range keys {
 				key := uint64(k % 512)
@@ -154,7 +156,7 @@ func TestCacheInvariants(t *testing.T) {
 // Property: every insert of a non-resident key into a full set reports
 // exactly one eviction, so occupancy is conserved.
 func TestEvictionConservation(t *testing.T) {
-	c := MustNew(4, 4, LRU)
+	c := testutil.Must(New(4, 4, LRU))
 	inserted := 0
 	evictions := 0
 	for k := uint64(0); k < 100; k++ {

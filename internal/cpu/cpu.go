@@ -136,15 +136,6 @@ func (c *Core) popRead() {
 	c.retired++
 }
 
-// MustNew is New for statically valid parameters.
-func MustNew(id int, cfg Config, trace TraceSource, mem Memory) *Core {
-	c, err := New(id, cfg, trace, mem)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // ID returns the core id.
 func (c *Core) ID() int { return c.id }
 

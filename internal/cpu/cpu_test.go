@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memsim"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -69,7 +70,7 @@ func TestComputeBoundCoreSpeed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		reqs = append(reqs, workload.Request{Gap: 4000, Line: line(dcfg, i%16, 5, i%128)})
 	}
-	c := MustNew(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem)
+	c := testutil.Must(New(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem))
 	runSystem(t, []*Core{c}, mem)
 	wantMin := int64(100 * 4000 / 4)
 	if c.FinishTime() < wantMin {
@@ -92,7 +93,7 @@ func TestMemoryBoundCoreStalls(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		reqs = append(reqs, workload.Request{Gap: 0, Line: line(dcfg, 0, 10, i%128)})
 	}
-	c := MustNew(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem)
+	c := testutil.Must(New(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem))
 	runSystem(t, []*Core{c}, mem)
 	if c.StallFor == 0 {
 		t.Fatal("memory-bound core never stalled")
@@ -107,7 +108,7 @@ func TestMemoryBoundCoreStalls(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		reqs2 = append(reqs2, workload.Request{Gap: 0, Line: line(dcfg, 0, 10+(i%2)*10, 0)})
 	}
-	c2 := MustNew(0, DefaultConfig(), &sliceTrace{reqs: reqs2}, mem2)
+	c2 := testutil.Must(New(0, DefaultConfig(), &sliceTrace{reqs: reqs2}, mem2))
 	runSystem(t, []*Core{c2}, mem2)
 	if c2.FinishTime() <= c.FinishTime() {
 		t.Fatalf("row conflicts (%d) not slower than streaming (%d)", c2.FinishTime(), c.FinishTime())
@@ -128,9 +129,9 @@ func TestROBLimitsOutstandingReads(t *testing.T) {
 		return &sliceTrace{reqs: reqs}
 	}
 	smallMem := memsim.New(memsim.DefaultConfig(dcfg))
-	small := MustNew(0, Config{ROB: 160, Width: 4}, mkReqs(), smallMem)
+	small := testutil.Must(New(0, Config{ROB: 160, Width: 4}, mkReqs(), smallMem))
 	runSystem(t, []*Core{small}, smallMem)
-	big := MustNew(0, Config{ROB: 16000, Width: 4}, mkReqs(), mem)
+	big := testutil.Must(New(0, Config{ROB: 16000, Width: 4}, mkReqs(), mem))
 	runSystem(t, []*Core{big}, mem)
 	if big.FinishTime() >= small.FinishTime() {
 		t.Fatalf("bigger ROB not faster: %d vs %d", big.FinishTime(), small.FinishTime())
@@ -144,7 +145,7 @@ func TestWritesDoNotBlock(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		reqs = append(reqs, workload.Request{Gap: 0, Write: true, Line: line(dcfg, 0, 10+(i%2)*10, 0)})
 	}
-	c := MustNew(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem)
+	c := testutil.Must(New(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem))
 	runSystem(t, []*Core{c}, mem)
 	// Writes are posted: the ROB never stalls on one, and the core
 	// finishes (modulo queue backpressure) while the memory system is
@@ -172,7 +173,7 @@ func TestBackpressureRetries(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		reqs = append(reqs, workload.Request{Gap: 0, Write: true, Line: line(dcfg, 0, 10+(i%2)*10, 0)})
 	}
-	c := MustNew(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem)
+	c := testutil.Must(New(0, DefaultConfig(), &sliceTrace{reqs: reqs}, mem))
 	runSystem(t, []*Core{c}, mem)
 	if c.Retries == 0 {
 		t.Fatal("tiny write queue never exerted backpressure")
@@ -229,7 +230,7 @@ func TestSteadyStateCoreStepIsAllocationFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		reqs = append(reqs, workload.Request{Gap: i % 3, Write: i%5 == 4, Line: line(dcfg, i%16, 10+i%7, i%128)})
 	}
-	c := MustNew(0, DefaultConfig(), &loopTrace{reqs: reqs}, &stubMemory{})
+	c := testutil.Must(New(0, DefaultConfig(), &loopTrace{reqs: reqs}, &stubMemory{}))
 	steps := func() {
 		for i := 0; i < 1000; i++ {
 			c.Step()

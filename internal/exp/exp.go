@@ -40,12 +40,6 @@ type Options struct {
 	// any explicitly set value — including 0 — is used as-is, so seed
 	// 0 is reproducible as itself (use SeedOf to build the pointer).
 	Seed *uint64
-	// Trace, when non-nil, records simulation events (activations,
-	// mitigations, refreshes, GCT saturations, window resets) from
-	// every run of the sweep. Because runs execute concurrently, the
-	// harness serializes the sweep (Parallelism 1) while tracing and
-	// separates runs with EvRunStart markers tagged "scheme/workload".
-	Trace *obsv.Tracer
 
 	// Target names the experiment target; it prefixes every campaign
 	// cell key ("target/variant/workload") so cell events and run
@@ -102,9 +96,6 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
 	}
-	if o.Trace != nil {
-		o.Parallelism = 1
-	}
 	if o.Seed == nil {
 		o.Seed = SeedOf(1)
 	}
@@ -141,7 +132,6 @@ func (o Options) baseConfig(p workload.Profile) sim.Config {
 	cfg.Scale = o.Scale
 	cfg.TRH = o.TRH
 	cfg.Seed = o.seed()
-	cfg.Trace = o.Trace
 	return cfg
 }
 
@@ -280,9 +270,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 					v.Mutate(&cfg)
 					cfg.Ctx = ctx
 					cfg.Progress = env.Progress
-					if o.Trace != nil {
-						o.Trace.Emit(obsv.Event{Kind: obsv.EvRunStart, Tag: v.Name + "/" + p.Name})
-					}
 					res, err := sim.Run(cfg)
 					if err != nil {
 						return nil, err

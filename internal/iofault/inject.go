@@ -64,7 +64,7 @@ func (f Fault) String() string {
 // 0-based global index, what it was, and the path it touched.
 type Op struct {
 	N    int
-	Kind string // mkdirall readfile readdir createtemp write sync close rename remove truncate syncdir
+	Kind string // mkdirall readfile createtemp write sync close rename remove truncate syncdir
 	Path string
 }
 
@@ -243,21 +243,6 @@ func (in *Injector) ReadFile(path string) ([]byte, error) {
 		return nil, fmt.Errorf("%s: %w", op, ErrCrashed)
 	}
 	return in.fs.ReadFile(path)
-}
-
-func (in *Injector) ReadDir(path string) ([]fs.DirEntry, error) {
-	op, f, err := in.step("readdir", path)
-	if err != nil {
-		return nil, err
-	}
-	switch f {
-	case FaultEIO, FaultENOSPC:
-		return nil, fmt.Errorf("%s: %w", op, syscall.EIO)
-	case FaultCrash:
-		in.rollback()
-		return nil, fmt.Errorf("%s: %w", op, ErrCrashed)
-	}
-	return in.fs.ReadDir(path)
 }
 
 func (in *Injector) CreateTemp(dir, pattern string) (File, error) {

@@ -31,13 +31,12 @@ type File interface {
 }
 
 // FS is the filesystem surface the storage plane performs durable IO
-// through. It is deliberately narrow — open/write/sync/rename/remove/
-// readdir plus the directory fsync that makes renames durable — so a
-// fault injector can enumerate every operation a campaign performs.
+// through. It is deliberately narrow — read/write/sync/rename/remove
+// plus the directory fsync that makes renames durable — so a fault
+// injector can enumerate every operation a campaign performs.
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadFile(path string) ([]byte, error)
-	ReadDir(path string) ([]fs.DirEntry, error)
 	// CreateTemp creates a new temporary file in dir, as os.CreateTemp.
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
@@ -59,7 +58,6 @@ type OS struct{}
 
 func (OS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 func (OS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
-func (OS) ReadDir(path string) ([]fs.DirEntry, error)   { return os.ReadDir(path) }
 func (OS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OS) Remove(path string) error                     { return os.Remove(path) }
 func (OS) Truncate(path string, size int64) error       { return os.Truncate(path, size) }

@@ -50,8 +50,10 @@ type ServerOptions struct {
 //	/debug/pprof/  the standard runtime profiles
 //
 // It is the API surface a future hydrad daemon mounts its versioned
-// routes onto; every binary wires it through a -listen flag. See the
-// "Exposition & live progress" section of docs/METRICS.md.
+// routes onto; cmd/experiments wires it through its -listen flag (the
+// other binaries run one cell and exit, and write the same data with
+// -json, -cpuprofile and -memprofile). See the "Exposition & live
+// progress" section of docs/METRICS.md.
 type Server struct {
 	opts ServerOptions
 	mux  *http.ServeMux
@@ -103,13 +105,13 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// ListenFlag is the shared implementation of the binaries' -listen
-// flag: with an empty addr it does nothing and returns a no-op stop;
-// otherwise it starts a telemetry server on addr, prints the reachable
-// metrics URL to stderr (stdout stays machine-parseable), and returns
-// a graceful stop (Shutdown under a short deadline, so in-flight
-// scrapes and /events streams drain). The returned stop is always
-// non-nil and safe to defer.
+// ListenFlag implements cmd/experiments' -listen flag: with an empty
+// addr it does nothing and returns a no-op stop; otherwise it starts a
+// telemetry server on addr, prints the reachable metrics URL to stderr
+// (stdout stays machine-parseable), and returns a graceful stop
+// (Shutdown under a short deadline, so in-flight scrapes and /events
+// streams drain). The returned stop is always non-nil and safe to
+// defer.
 func ListenFlag(addr string, opts ServerOptions) (stop func() error, err error) {
 	if addr == "" {
 		return func() error { return nil }, nil

@@ -155,7 +155,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 func TestTracerWriteJSONL(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Emit(Event{Cycle: 10, Kind: EvMitigate, Row: 42, Aux: 1})
-	tr.Emit(Event{Kind: EvRunStart, Tag: "hydra/parest"})
+	tr.Emit(Event{Cycle: 20, Kind: EvWindowReset})
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -171,8 +171,9 @@ func TestTracerWriteJSONL(t *testing.T) {
 	if first["kind"] != "mitigate" || first["row"] != float64(42) {
 		t.Fatalf("first line = %v", first)
 	}
-	if !strings.Contains(lines[1], `"tag":"hydra/parest"`) {
-		t.Fatalf("second line = %q", lines[1])
+	// A zero Aux is omitted from the wire form.
+	if want := `{"cycle":20,"kind":"window-reset","row":0}`; lines[1] != want {
+		t.Fatalf("second line = %q, want %q", lines[1], want)
 	}
 }
 

@@ -29,9 +29,6 @@ const (
 	// EvWindowReset: the 64 ms tracking window rolled over and SRAM
 	// state was cleared; Aux is the reset ordinal.
 	EvWindowReset
-	// EvRunStart: a harness marker separating runs in a shared trace;
-	// Tag labels the run ("scheme/workload").
-	EvRunStart
 )
 
 // String implements fmt.Stringer.
@@ -47,8 +44,6 @@ func (k EventKind) String() string {
 		return "gct-saturate"
 	case EvWindowReset:
 		return "window-reset"
-	case EvRunStart:
-		return "run-start"
 	default:
 		return "unknown"
 	}
@@ -61,7 +56,6 @@ type Event struct {
 	Kind  EventKind `json:"-"`
 	Row   uint32    `json:"row"`
 	Aux   int64     `json:"aux,omitempty"`
-	Tag   string    `json:"tag,omitempty"`
 }
 
 // eventJSON is the JSONL wire form, with the kind spelled out.
@@ -70,7 +64,6 @@ type eventJSON struct {
 	Kind  string `json:"kind"`
 	Row   uint32 `json:"row"`
 	Aux   int64  `json:"aux,omitempty"`
-	Tag   string `json:"tag,omitempty"`
 }
 
 // Tracer records simulation events into a bounded ring buffer: when
@@ -80,8 +73,8 @@ type eventJSON struct {
 //
 // A nil *Tracer is valid and records nothing; every Emit site is
 // therefore a single nil-check when tracing is disabled. An enabled
-// tracer is safe for concurrent use (the experiment harness may feed
-// it from its worker pool).
+// tracer is safe for concurrent use, so one tracer may be shared by
+// simulations running on several goroutines.
 type Tracer struct {
 	mu      sync.Mutex
 	ring    []Event
@@ -167,7 +160,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(bw)
 	for _, e := range t.Events() {
 		if err := enc.Encode(eventJSON{
-			Cycle: e.Cycle, Kind: e.Kind.String(), Row: e.Row, Aux: e.Aux, Tag: e.Tag,
+			Cycle: e.Cycle, Kind: e.Kind.String(), Row: e.Row, Aux: e.Aux,
 		}); err != nil {
 			return err
 		}

@@ -171,11 +171,6 @@ func (g Gen[V]) Draw(t *T, label string) V {
 	return v
 }
 
-// Custom wraps an arbitrary drawing function as a generator.
-func Custom[V any](name string, f func(*T) V) Gen[V] {
-	return Gen[V]{name: name, gen: f}
-}
-
 // Uint64 generates a full-range uint64; zero words map to zero.
 func Uint64() Gen[uint64] {
 	return Gen[uint64]{name: "uint64", gen: (*T).draw}

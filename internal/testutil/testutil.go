@@ -1,4 +1,6 @@
-// Package testutil holds the shared test-tier knob. Expensive suites —
+// Package testutil holds the shared test scaffolding. Must builds a
+// value whose constructor returns an error the test knows cannot
+// happen. Intensity is the test-tier knob: expensive suites —
 // the crash-point sweep, fuzz-style property loops, soak runs — scale
 // their iteration counts through Intensity instead of hardcoding them,
 // so one environment variable moves the whole tree between a fast
@@ -63,4 +65,14 @@ func Pick[T any](tb testing.TB, quick, thorough T) T {
 func Logf(tb testing.TB, format string, args ...any) {
 	tb.Helper()
 	tb.Logf("[%s] %s", FromEnv(tb), fmt.Sprintf(format, args...))
+}
+
+// Must returns v, panicking if err is non-nil. Tests wrap a constructor
+// whose arguments they know are valid in it:
+// testutil.Must(track.NewGraphene(geom, 500)).
+func Must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

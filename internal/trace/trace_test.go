@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dram"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -120,7 +121,7 @@ func TestRecordWorkloadStream(t *testing.T) {
 	cfg := workload.DefaultStreamConfig(mem, mem.RowsPerBank-17)
 	cfg.Scale = 64
 	cfg.ActBudget = 2000
-	src := workload.MustNewStream(p, cfg)
+	src := testutil.Must(workload.NewStream(p, cfg))
 
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -136,7 +137,7 @@ func TestRecordWorkloadStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := workload.MustNewStream(p, cfg)
+	fresh := testutil.Must(workload.NewStream(p, cfg))
 	for i := int64(0); i < n; i++ {
 		got, ok1 := r.Next()
 		want, ok2 := fresh.Next()

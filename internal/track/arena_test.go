@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/rh"
+	"repro/internal/testutil"
 )
 
 // --- START ---
 
 func TestSTARTHammerMitigatedEveryThreshold(t *testing.T) {
-	s := MustNewSTART(testGeom(), testTRH, 0)
+	s := testutil.Must(NewSTART(testGeom(), testTRH, 0))
 	row := rh.Row(7)
 	mitigs := 0
 	for i := 1; i <= 200; i++ {
@@ -28,7 +29,7 @@ func TestSTARTHammerMitigatedEveryThreshold(t *testing.T) {
 
 func TestSTARTGuaranteeSizing(t *testing.T) {
 	geom := testGeom()
-	s := MustNewSTART(geom, testTRH, 0)
+	s := testutil.Must(NewSTART(geom, testTRH, 0))
 	// ceil(Banks*ACTMax / (TRH/2)) = ceil(4*10000/50) = 800 entries.
 	if got := s.Capacity(); got != 800 {
 		t.Errorf("capacity = %d, want 800", got)
@@ -37,7 +38,7 @@ func TestSTARTGuaranteeSizing(t *testing.T) {
 		t.Errorf("borrowed bytes = %d, want %d", got, 800*startEntryBytes)
 	}
 	// An explicit LLC budget overrides the guarantee sizing.
-	small := MustNewSTART(geom, testTRH, 1024)
+	small := testutil.Must(NewSTART(geom, testTRH, 1024))
 	if got := small.Capacity(); got != 1024/startEntryBytes {
 		t.Errorf("budgeted capacity = %d, want %d", got, 1024/startEntryBytes)
 	}
@@ -48,7 +49,7 @@ func TestSTARTGuaranteeSizing(t *testing.T) {
 // sizing must still mitigate within the operating threshold.
 func TestSTARTSecurityUnderCrossBankThrash(t *testing.T) {
 	geom := testGeom()
-	s := MustNewSTART(geom, testTRH, 0)
+	s := testutil.Must(NewSTART(geom, testTRH, 0))
 	rng := rand.New(rand.NewSource(1))
 	trueCount := make(map[rh.Row]int)
 	target := rh.Row(3)
@@ -76,7 +77,7 @@ func TestSTARTSecurityUnderCrossBankThrash(t *testing.T) {
 // activations untracked.
 func TestSTARTUnderProvisionedPoolEvaded(t *testing.T) {
 	geom := testGeom()
-	s := MustNewSTART(geom, testTRH, 16*startEntryBytes) // 16 entries vs 800 guaranteed
+	s := testutil.Must(NewSTART(geom, testTRH, 16*startEntryBytes)) // 16 entries vs 800 guaranteed
 	target := rh.Row(3)
 	trueActs, mitigs := 0, 0
 	for i := 0; i < 20000; i++ {
@@ -119,7 +120,7 @@ func TestSTARTValidation(t *testing.T) {
 // --- MINT ---
 
 func TestMINTDefaultInterval(t *testing.T) {
-	m := MustNewMINT(testGeom(), testTRH, 0, 1)
+	m := testutil.Must(NewMINT(testGeom(), testTRH, 0, 1))
 	if got := m.Interval(); got != testTRH/4 {
 		t.Errorf("interval = %d, want %d", got, testTRH/4)
 	}
@@ -132,7 +133,7 @@ func TestMINTDefaultInterval(t *testing.T) {
 // its bank, so it is mitigated once per interval — far more often
 // than the threshold requires.
 func TestMINTCatchesNaiveHammer(t *testing.T) {
-	m := MustNewMINT(testGeom(), testTRH, 0, 7)
+	m := testutil.Must(NewMINT(testGeom(), testTRH, 0, 7))
 	row := rh.Row(5)
 	mitigs := 0
 	acts := 40 * m.Interval()
@@ -149,7 +150,7 @@ func TestMINTCatchesNaiveHammer(t *testing.T) {
 // TestMINTSelectionIsUniformish: over many intervals the mitigated
 // positions should spread across the interval rather than cluster.
 func TestMINTSelectionIsUniformish(t *testing.T) {
-	m := MustNewMINT(testGeom(), testTRH, 8, 11)
+	m := testutil.Must(NewMINT(testGeom(), testTRH, 8, 11))
 	hits := make([]int, 8)
 	rows := make([]rh.Row, 8)
 	for i := range rows {
@@ -179,7 +180,7 @@ func TestMINTSelectionIsUniformish(t *testing.T) {
 func TestMINTDilutionEvadesAtUltraLowThreshold(t *testing.T) {
 	const trh = 500
 	geom := testGeom()
-	m := MustNewMINT(geom, trh, 0, 3)
+	m := testutil.Must(NewMINT(geom, trh, 0, 3))
 	w := m.Interval() // 125
 	rows := make([]rh.Row, w)
 	for i := range rows {
@@ -218,7 +219,7 @@ func TestMINTValidation(t *testing.T) {
 // --- DAPPER ---
 
 func TestDAPPERMitigatesEarly(t *testing.T) {
-	d := MustNewDAPPER(testGeom(), testTRH)
+	d := testutil.Must(NewDAPPER(testGeom(), testTRH))
 	row := rh.Row(7)
 	cut := d.Threshold() - d.jitter(row)
 	if cut <= 0 || cut > d.Threshold() {
@@ -244,8 +245,8 @@ func TestDAPPERMitigatesEarly(t *testing.T) {
 // mitigation instants across the jitter band.
 func TestDAPPERDesynchronizesHerd(t *testing.T) {
 	geom := testGeom()
-	d := MustNewDAPPER(geom, testTRH)
-	g := MustNewGraphene(geom, testTRH)
+	d := testutil.Must(NewDAPPER(geom, testTRH))
+	g := testutil.Must(NewGraphene(geom, testTRH))
 	rows := make([]rh.Row, 32)
 	for i := range rows {
 		rows[i] = rh.Row(uint32(i)) // one bank
@@ -271,7 +272,7 @@ func TestDAPPERDesynchronizesHerd(t *testing.T) {
 }
 
 func TestDAPPERJitterStableAcrossEvictions(t *testing.T) {
-	d := MustNewDAPPER(testGeom(), testTRH)
+	d := testutil.Must(NewDAPPER(testGeom(), testTRH))
 	row := rh.Row(42)
 	j := d.jitter(row)
 	for i := 0; i < 100; i++ {
@@ -283,8 +284,8 @@ func TestDAPPERJitterStableAcrossEvictions(t *testing.T) {
 
 func TestDAPPERSizingPremiumOverGraphene(t *testing.T) {
 	geom := BaselineGeometry()
-	d := MustNewDAPPER(geom, 500)
-	g := MustNewGraphene(geom, 500)
+	d := testutil.Must(NewDAPPER(geom, 500))
+	g := testutil.Must(NewGraphene(geom, 500))
 	if d.EntriesPerBank() <= g.EntriesPerBank() {
 		t.Errorf("dapper entries/bank %d should exceed graphene's %d (early mitigation premium)",
 			d.EntriesPerBank(), g.EntriesPerBank())
@@ -306,9 +307,9 @@ func TestDAPPERValidation(t *testing.T) {
 
 func TestArenaTrackersInterface(t *testing.T) {
 	for _, tr := range []rh.Tracker{
-		MustNewSTART(testGeom(), testTRH, 0),
-		MustNewMINT(testGeom(), testTRH, 0, 1),
-		MustNewDAPPER(testGeom(), testTRH),
+		testutil.Must(NewSTART(testGeom(), testTRH, 0)),
+		testutil.Must(NewMINT(testGeom(), testTRH, 0, 1)),
+		testutil.Must(NewDAPPER(testGeom(), testTRH)),
 	} {
 		if tr.SRAMBytes() <= 0 || tr.MetaRows() != 0 || tr.ActivateMeta(0) {
 			t.Errorf("%s: interface contract broken", tr.Name())

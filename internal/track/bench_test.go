@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/rh"
+	"repro/internal/testutil"
 )
 
 // BenchmarkGrapheneActivate measures the Misra-Gries update, the
 // operation a CAM performs in one cycle in hardware.
 func BenchmarkGrapheneActivate(b *testing.B) {
-	g := MustNewGraphene(BaselineGeometry(), 500)
+	g := testutil.Must(NewGraphene(BaselineGeometry(), 500))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -21,7 +22,7 @@ func BenchmarkGrapheneActivate(b *testing.B) {
 // attacker induces.
 func BenchmarkGrapheneThrash(b *testing.B) {
 	geom := BaselineGeometry()
-	g := MustNewGraphene(geom, 500)
+	g := testutil.Must(NewGraphene(geom, 500))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,7 +33,7 @@ func BenchmarkGrapheneThrash(b *testing.B) {
 // BenchmarkCRAActivate measures a counter update through the metadata
 // cache.
 func BenchmarkCRAActivate(b *testing.B) {
-	c := MustNewCRA(BaselineGeometry(), 500, 64*1024, rh.NullSink{})
+	c := testutil.Must(NewCRA(BaselineGeometry(), 500, 64*1024, rh.NullSink{}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +46,7 @@ func BenchmarkCRAActivate(b *testing.B) {
 // stays sparse. BenchmarkCRAActivate's stride fills its pages dense.
 func BenchmarkCRAActivateSparse(b *testing.B) {
 	geom := BaselineGeometry()
-	c := MustNewCRA(geom, 500, 64*1024, rh.NullSink{})
+	c := testutil.Must(NewCRA(geom, 500, 64*1024, rh.NullSink{}))
 	rows := scatteredRows(geom, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,7 +57,7 @@ func BenchmarkCRAActivateSparse(b *testing.B) {
 
 // BenchmarkOCPRActivate is the exact-counter lower bound.
 func BenchmarkOCPRActivate(b *testing.B) {
-	o := MustNewOCPR(BaselineGeometry(), 500)
+	o := testutil.Must(NewOCPR(BaselineGeometry(), 500))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,7 +67,7 @@ func BenchmarkOCPRActivate(b *testing.B) {
 
 // BenchmarkDCBFActivate measures the triple-hash dual-filter update.
 func BenchmarkDCBFActivate(b *testing.B) {
-	d := MustNewDCBF(BaselineGeometry(), 500, 0, 7)
+	d := testutil.Must(NewDCBF(BaselineGeometry(), 500, 0, 7))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

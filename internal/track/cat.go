@@ -79,15 +79,6 @@ func NewCAT(geom Geometry, trh, poolPerBank int) (*CAT, error) {
 	return c, nil
 }
 
-// MustNewCAT is NewCAT for statically valid parameters.
-func MustNewCAT(geom Geometry, trh, poolPerBank int) *CAT {
-	c, err := NewCAT(geom, trh, poolPerBank)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func (c *CAT) resetBanks() {
 	for i := range c.banks {
 		c.banks[i] = catBank{

@@ -70,15 +70,6 @@ func NewCRA(geom Geometry, trh, cacheBytes int, sink rh.MemSink) (*CRA, error) {
 	}, nil
 }
 
-// MustNewCRA is NewCRA for statically valid parameters.
-func MustNewCRA(geom Geometry, trh, cacheBytes int, sink rh.MemSink) *CRA {
-	t, err := NewCRA(geom, trh, cacheBytes, sink)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements rh.Tracker.
 func (c *CRA) Name() string { return "cra" }
 

@@ -70,15 +70,6 @@ func NewDAPPER(geom Geometry, trh int) (*DAPPER, error) {
 	return d, nil
 }
 
-// MustNewDAPPER is NewDAPPER for statically valid parameters.
-func MustNewDAPPER(geom Geometry, trh int) *DAPPER {
-	d, err := NewDAPPER(geom, trh)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name implements rh.Tracker.
 func (d *DAPPER) Name() string { return "dapper" }
 

@@ -83,15 +83,6 @@ func NewDCBF(geom Geometry, trh, countersPerBank int, seed uint64) (*DCBF, error
 	return d, nil
 }
 
-// MustNewDCBF is NewDCBF for statically valid parameters.
-func MustNewDCBF(geom Geometry, trh, countersPerBank int, seed uint64) *DCBF {
-	d, err := NewDCBF(geom, trh, countersPerBank, seed)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name implements rh.Tracker.
 func (d *DCBF) Name() string { return "dcbf" }
 

@@ -184,15 +184,6 @@ func (b *grapheneBank) reset() {
 	b.spillover = 0
 }
 
-// MustNewGraphene is NewGraphene for statically valid parameters.
-func MustNewGraphene(geom Geometry, trh int) *Graphene {
-	g, err := NewGraphene(geom, trh)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Name implements rh.Tracker.
 func (g *Graphene) Name() string { return "graphene" }
 

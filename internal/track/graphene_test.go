@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rh"
+	"repro/internal/testutil"
 )
 
 // refMGBank is the Misra-Gries table as it was before its entries
@@ -119,9 +120,9 @@ func TestMisraGriesMatchesReference(t *testing.T) {
 		}
 		return out
 	}
-	g := MustNewGraphene(geom, 20)
-	d := MustNewDAPPER(geom, 20)
-	s := MustNewSTART(geom, 20, 40*startEntryBytes)
+	g := testutil.Must(NewGraphene(geom, 20))
+	d := testutil.Must(NewDAPPER(geom, 20))
+	s := testutil.Must(NewSTART(geom, 20, 40*startEntryBytes))
 	cases := []mgCase{
 		{"graphene", g, perBank(g.banks), geom.bank, func(rh.Row) int { return g.threshold }, g.perBank},
 		{"dapper", d, perBank(d.banks), geom.bank, func(r rh.Row) int { return d.threshold - d.jitter(r) }, d.perBank},

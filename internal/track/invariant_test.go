@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rh"
+	"repro/internal/testutil"
 )
 
 // Property-based tracker invariant (ROADMAP item 5): for every
@@ -21,10 +22,10 @@ type invariantCase struct {
 
 func invariantTrackers() []invariantCase {
 	return []invariantCase{
-		{"graphene", func(g Geometry, trh int) rh.Tracker { return MustNewGraphene(g, trh) }},
-		{"start", func(g Geometry, trh int) rh.Tracker { return MustNewSTART(g, trh, 0) }},
-		{"dapper", func(g Geometry, trh int) rh.Tracker { return MustNewDAPPER(g, trh) }},
-		{"ocpr", func(g Geometry, trh int) rh.Tracker { return MustNewOCPR(g, trh) }},
+		{"graphene", func(g Geometry, trh int) rh.Tracker { return testutil.Must(NewGraphene(g, trh)) }},
+		{"start", func(g Geometry, trh int) rh.Tracker { return testutil.Must(NewSTART(g, trh, 0)) }},
+		{"dapper", func(g Geometry, trh int) rh.Tracker { return testutil.Must(NewDAPPER(g, trh)) }},
+		{"ocpr", func(g Geometry, trh int) rh.Tracker { return testutil.Must(NewOCPR(g, trh)) }},
 	}
 }
 
@@ -96,7 +97,7 @@ func TestTrackerMitigationInvariantUltraLow(t *testing.T) {
 // TestMINTDilutionEvadesAtUltraLowThreshold).
 func TestMINTStatisticalInvariant(t *testing.T) {
 	geom := testGeom()
-	m := MustNewMINT(geom, testTRH, 0, 9)
+	m := testutil.Must(NewMINT(geom, testTRH, 0, 9))
 	row := rh.Row(11)
 	trueCount := 0
 	for i := 0; i < geom.ACTMax; i++ {

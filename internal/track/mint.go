@@ -78,15 +78,6 @@ func NewMINT(geom Geometry, trh, intervalActs int, seed uint64) (*MINT, error) {
 	return m, nil
 }
 
-// MustNewMINT is NewMINT for statically valid parameters.
-func MustNewMINT(geom Geometry, trh, intervalActs int, seed uint64) *MINT {
-	m, err := NewMINT(geom, trh, intervalActs, seed)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Name implements rh.Tracker.
 func (m *MINT) Name() string { return "mint" }
 

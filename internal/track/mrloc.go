@@ -53,15 +53,6 @@ func NewMRLoC(geom Geometry, seed uint64) (*MRLoC, error) {
 	}, nil
 }
 
-// MustNewMRLoC is NewMRLoC for statically valid parameters.
-func MustNewMRLoC(geom Geometry, seed uint64) *MRLoC {
-	t, err := NewMRLoC(geom, seed)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements rh.Tracker.
 func (m *MRLoC) Name() string { return "mrloc" }
 

@@ -46,15 +46,6 @@ func NewOCPR(geom Geometry, trh int) (*OCPR, error) {
 	}, nil
 }
 
-// MustNewOCPR is NewOCPR for statically valid parameters.
-func MustNewOCPR(geom Geometry, trh int) *OCPR {
-	t, err := NewOCPR(geom, trh)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements rh.Tracker.
 func (o *OCPR) Name() string { return "ocpr" }
 

@@ -47,15 +47,6 @@ func NewPARA(trh int, failProb float64, seed uint64) (*PARA, error) {
 	}, nil
 }
 
-// MustNewPARA is NewPARA for statically valid parameters.
-func MustNewPARA(trh int, failProb float64, seed uint64) *PARA {
-	t, err := NewPARA(trh, failProb, seed)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements rh.Tracker.
 func (p *PARA) Name() string { return "para" }
 

@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/rh"
+	"repro/internal/testutil"
 )
 
 func TestProHITDetectsNaiveHammer(t *testing.T) {
-	p := MustNewProHIT(testGeom(), 0.25, 7)
+	p := testutil.Must(NewProHIT(testGeom(), 0.25, 7))
 	row := rh.Row(5)
 	mitigs := 0
 	for i := 0; i < 5000; i++ {
@@ -21,7 +22,7 @@ func TestProHITDetectsNaiveHammer(t *testing.T) {
 }
 
 func TestProHITPromotionPath(t *testing.T) {
-	p := MustNewProHIT(testGeom(), 1.0, 7) // deterministic insertion
+	p := testutil.Must(NewProHIT(testGeom(), 1.0, 7)) // deterministic insertion
 	row := rh.Row(9)
 	// Miss -> cold; cold hit -> hot list (empty, so instantly top);
 	// the next hit is a top hit and mitigates.
@@ -50,7 +51,7 @@ func TestProHITValidation(t *testing.T) {
 }
 
 func TestMRLoCDetectsLocalHammer(t *testing.T) {
-	m := MustNewMRLoC(testGeom(), 3)
+	m := testutil.Must(NewMRLoC(testGeom(), 3))
 	row := rh.Row(4)
 	mitigs := 0
 	for i := 0; i < 2000; i++ {
@@ -72,7 +73,7 @@ func TestMRLoCDetectsLocalHammer(t *testing.T) {
 // enough distinct rows between hammer hits flushes the aggressor from
 // the queue, so its hit count never accumulates.
 func TestMRLoCFlushedByOneOffRows(t *testing.T) {
-	m := MustNewMRLoC(testGeom(), 3)
+	m := testutil.Must(NewMRLoC(testGeom(), 3))
 	target := rh.Row(4)
 	mitigs := 0
 	for i := 0; i < 20000; i++ {
@@ -94,8 +95,8 @@ func TestMRLoCFlushedByOneOffRows(t *testing.T) {
 
 func TestProbabilisticTrackersInterface(t *testing.T) {
 	for _, tr := range []rh.Tracker{
-		MustNewProHIT(testGeom(), 0.25, 1),
-		MustNewMRLoC(testGeom(), 1),
+		testutil.Must(NewProHIT(testGeom(), 0.25, 1)),
+		testutil.Must(NewMRLoC(testGeom(), 1)),
 	} {
 		if tr.SRAMBytes() <= 0 || tr.MetaRows() != 0 || tr.ActivateMeta(0) {
 			t.Errorf("%s: interface contract broken", tr.Name())

@@ -63,15 +63,6 @@ func NewProHIT(geom Geometry, pInsert float64, seed uint64) (*ProHIT, error) {
 	}, nil
 }
 
-// MustNewProHIT is NewProHIT for statically valid parameters.
-func MustNewProHIT(geom Geometry, pInsert float64, seed uint64) *ProHIT {
-	t, err := NewProHIT(geom, pInsert, seed)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements rh.Tracker.
 func (p *ProHIT) Name() string { return "prohit" }
 

@@ -91,15 +91,6 @@ func NewSTART(geom Geometry, trh, llcBytes int) (*START, error) {
 	}, nil
 }
 
-// MustNewSTART is NewSTART for statically valid parameters.
-func MustNewSTART(geom Geometry, trh, llcBytes int) *START {
-	s, err := NewSTART(geom, trh, llcBytes)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Name implements rh.Tracker.
 func (s *START) Name() string { return "start" }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/rh"
+	"repro/internal/testutil"
 )
 
 // testGeom is a small system for fast tests: 1024 rows over 4 banks,
@@ -20,7 +21,7 @@ func testGeom() Geometry {
 const testTRH = 100 // operating threshold 50
 
 func TestGrapheneHammerMitigatedEveryThreshold(t *testing.T) {
-	g := MustNewGraphene(testGeom(), testTRH)
+	g := testutil.Must(NewGraphene(testGeom(), testTRH))
 	row := rh.Row(7)
 	mitigs := 0
 	for i := 1; i <= 200; i++ {
@@ -37,7 +38,7 @@ func TestGrapheneHammerMitigatedEveryThreshold(t *testing.T) {
 }
 
 func TestGrapheneSizingMatchesPaper(t *testing.T) {
-	g := MustNewGraphene(BaselineGeometry(), 500)
+	g := testutil.Must(NewGraphene(BaselineGeometry(), 500))
 	if got := g.EntriesPerBank(); got != 5440 {
 		t.Errorf("entries per bank = %d, want 5440 (~5441 in the paper)", got)
 	}
@@ -55,7 +56,7 @@ func TestGrapheneSizingMatchesPaper(t *testing.T) {
 // budget.
 func TestGrapheneSecurityUnderThrash(t *testing.T) {
 	geom := testGeom()
-	g := MustNewGraphene(geom, testTRH)
+	g := testutil.Must(NewGraphene(geom, testTRH))
 	rng := rand.New(rand.NewSource(1))
 	trueCount := make(map[rh.Row]int)
 	target := rh.Row(3)
@@ -78,7 +79,7 @@ func TestGrapheneSecurityUnderThrash(t *testing.T) {
 }
 
 func TestGrapheneEstimateNeverUndercounts(t *testing.T) {
-	g := MustNewGraphene(testGeom(), testTRH)
+	g := testutil.Must(NewGraphene(testGeom(), testTRH))
 	rng := rand.New(rand.NewSource(2))
 	trueCount := make(map[rh.Row]int)
 	for i := 0; i < 5000; i++ {
@@ -92,7 +93,7 @@ func TestGrapheneEstimateNeverUndercounts(t *testing.T) {
 }
 
 func TestGrapheneResetWindow(t *testing.T) {
-	g := MustNewGraphene(testGeom(), testTRH)
+	g := testutil.Must(NewGraphene(testGeom(), testTRH))
 	for i := 0; i < 49; i++ {
 		g.Activate(rh.Row(7))
 	}
@@ -108,7 +109,7 @@ func TestGrapheneResetWindow(t *testing.T) {
 }
 
 func TestOCPRExact(t *testing.T) {
-	o := MustNewOCPR(testGeom(), testTRH)
+	o := testutil.Must(NewOCPR(testGeom(), testTRH))
 	row := rh.Row(100)
 	for i := 1; i <= 49; i++ {
 		if o.Activate(row) {
@@ -133,7 +134,7 @@ func TestOCPRExact(t *testing.T) {
 func TestOCPRStorageMatchesTable1(t *testing.T) {
 	// 16 GB rank = 2 M rows; at T_RH 500 a 9-bit counter per row
 	// gives 2.25 MB (Table 1 reports 2.3 MB).
-	o := MustNewOCPR(Geometry{Rows: 2 * 1024 * 1024, RowsPerBank: 131072, Banks: 16, ACTMax: 1360000}, 500)
+	o := testutil.Must(NewOCPR(Geometry{Rows: 2 * 1024 * 1024, RowsPerBank: 131072, Banks: 16, ACTMax: 1360000}, 500))
 	mb := float64(o.SRAMBytes()) / (1 << 20)
 	if mb < 2.2 || mb > 2.4 {
 		t.Errorf("OCPR storage = %.2f MB, want ~2.3 MB", mb)
@@ -177,7 +178,7 @@ func TestOCPRThresholdFitsCounters(t *testing.T) {
 }
 
 func TestPARAStatistics(t *testing.T) {
-	p := MustNewPARA(500, 1e-9, 42)
+	p := testutil.Must(NewPARA(500, 1e-9, 42))
 	// p = 1 - (1e-9)^(1/500) ~ 0.0406
 	if p.Probability() < 0.03 || p.Probability() > 0.06 {
 		t.Fatalf("p = %v, want ~0.041", p.Probability())
@@ -196,8 +197,8 @@ func TestPARAStatistics(t *testing.T) {
 }
 
 func TestPARADeterministicPerSeed(t *testing.T) {
-	a := MustNewPARA(500, 1e-9, 7)
-	b := MustNewPARA(500, 1e-9, 7)
+	a := testutil.Must(NewPARA(500, 1e-9, 7))
+	b := testutil.Must(NewPARA(500, 1e-9, 7))
 	for i := 0; i < 1000; i++ {
 		if a.Activate(0) != b.Activate(0) {
 			t.Fatal("same seed diverged")
@@ -218,7 +219,7 @@ func TestPARAValidation(t *testing.T) {
 }
 
 func TestCRAMitigatesAtThreshold(t *testing.T) {
-	c := MustNewCRA(testGeom(), testTRH, 4096, rh.NullSink{})
+	c := testutil.Must(NewCRA(testGeom(), testTRH, 4096, rh.NullSink{}))
 	row := rh.Row(5)
 	for i := 1; i <= 49; i++ {
 		if c.Activate(row) {
@@ -232,7 +233,7 @@ func TestCRAMitigatesAtThreshold(t *testing.T) {
 
 func TestCRATraffic(t *testing.T) {
 	sink := &rh.CountingSink{}
-	c := MustNewCRA(testGeom(), testTRH, 256, sink) // 4 lines, one set
+	c := testutil.Must(NewCRA(testGeom(), testTRH, 256, sink)) // 4 lines, one set
 	// First touch of a line: one read.
 	c.Activate(rh.Row(0))
 	if sink.Reads != 1 || sink.Writes != 0 {
@@ -256,7 +257,7 @@ func TestCRATraffic(t *testing.T) {
 }
 
 func TestCRACountsClearAcrossWindows(t *testing.T) {
-	c := MustNewCRA(testGeom(), testTRH, 4096, rh.NullSink{})
+	c := testutil.Must(NewCRA(testGeom(), testTRH, 4096, rh.NullSink{}))
 	row := rh.Row(9)
 	for i := 0; i < 30; i++ {
 		c.Activate(row)
@@ -305,7 +306,7 @@ func TestCRACounterStorageFollowsTouchedRows(t *testing.T) {
 	rows := scatteredRows(geom, 4)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c := MustNewCRA(geom, 500, 64*1024, rh.NullSink{})
+	c := testutil.Must(NewCRA(geom, 500, 64*1024, rh.NullSink{}))
 	for _, r := range rows {
 		c.Activate(r)
 	}
@@ -317,7 +318,7 @@ func TestCRACounterStorageFollowsTouchedRows(t *testing.T) {
 }
 
 func TestTWiCEHammerDetected(t *testing.T) {
-	tw := MustNewTWiCE(testGeom(), testTRH, 64)
+	tw := testutil.Must(NewTWiCE(testGeom(), testTRH, 64))
 	row := rh.Row(3)
 	for i := 1; i <= 49; i++ {
 		if tw.Activate(row) {
@@ -330,7 +331,7 @@ func TestTWiCEHammerDetected(t *testing.T) {
 }
 
 func TestTWiCEOverflowWhenUndersized(t *testing.T) {
-	tw := MustNewTWiCE(testGeom(), testTRH, 4) // tiny table
+	tw := testutil.Must(NewTWiCE(testGeom(), testTRH, 4)) // tiny table
 	// Fill the table with 4 rows, then a 5th row goes untracked.
 	for r := rh.Row(0); r < 5; r++ {
 		tw.Activate(r)
@@ -342,7 +343,7 @@ func TestTWiCEOverflowWhenUndersized(t *testing.T) {
 
 func TestTWiCEPrunesColdEntries(t *testing.T) {
 	geom := testGeom()
-	tw := MustNewTWiCE(geom, testTRH, 64)
+	tw := testutil.Must(NewTWiCE(geom, testTRH, 64))
 	// One cold touch, then enough hot traffic to cross two pruning
 	// intervals: the cold entry must be dropped.
 	tw.Activate(rh.Row(200))
@@ -356,7 +357,7 @@ func TestTWiCEPrunesColdEntries(t *testing.T) {
 }
 
 func TestCATHammerMitigatedBeforeTRH(t *testing.T) {
-	c := MustNewCAT(testGeom(), testTRH, 1024)
+	c := testutil.Must(NewCAT(testGeom(), testTRH, 1024))
 	row := rh.Row(17)
 	trueSince := 0
 	for i := 0; i < 500; i++ {
@@ -377,7 +378,7 @@ func TestCATHammerMitigatedBeforeTRH(t *testing.T) {
 }
 
 func TestCATPoolExhaustionIsUnsafe(t *testing.T) {
-	c := MustNewCAT(testGeom(), testTRH, 3) // root plus one split
+	c := testutil.Must(NewCAT(testGeom(), testTRH, 3)) // root plus one split
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		c.Activate(rh.Row(rng.Intn(256)))
@@ -388,7 +389,7 @@ func TestCATPoolExhaustionIsUnsafe(t *testing.T) {
 }
 
 func TestDCBFNoFalseNegatives(t *testing.T) {
-	d := MustNewDCBF(testGeom(), testTRH, 4096, 11)
+	d := testutil.Must(NewDCBF(testGeom(), testTRH, 4096, 11))
 	row := rh.Row(4)
 	throttled := false
 	for i := 1; i <= 50; i++ {
@@ -415,7 +416,7 @@ func TestDCBFNoFalseNegatives(t *testing.T) {
 func TestDCBFEstimateNeverUndercounts(t *testing.T) {
 	geom := testGeom()
 	geom.ACTMax = 1 << 30 // avoid filter swaps in this test
-	d := MustNewDCBF(geom, testTRH, 1024, 12)
+	d := testutil.Must(NewDCBF(geom, testTRH, 1024, 12))
 	rng := rand.New(rand.NewSource(5))
 	trueCount := make(map[rh.Row]int)
 	for i := 0; i < 3000; i++ {
@@ -429,7 +430,7 @@ func TestDCBFEstimateNeverUndercounts(t *testing.T) {
 }
 
 func TestDCBFResetClearsBlacklist(t *testing.T) {
-	d := MustNewDCBF(testGeom(), testTRH, 4096, 13)
+	d := testutil.Must(NewDCBF(testGeom(), testTRH, 4096, 13))
 	row := rh.Row(4)
 	for i := 0; i < 100; i++ {
 		d.Activate(row)
@@ -445,13 +446,13 @@ func TestDCBFResetClearsBlacklist(t *testing.T) {
 func TestAllTrackersImplementInterface(t *testing.T) {
 	geom := testGeom()
 	trackers := []rh.Tracker{
-		MustNewGraphene(geom, testTRH),
-		MustNewOCPR(geom, testTRH),
-		MustNewPARA(testTRH, 1e-9, 1),
-		MustNewCRA(geom, testTRH, 4096, rh.NullSink{}),
-		MustNewTWiCE(geom, testTRH, 0),
-		MustNewCAT(geom, testTRH, 0),
-		MustNewDCBF(geom, testTRH, 0, 1),
+		testutil.Must(NewGraphene(geom, testTRH)),
+		testutil.Must(NewOCPR(geom, testTRH)),
+		testutil.Must(NewPARA(testTRH, 1e-9, 1)),
+		testutil.Must(NewCRA(geom, testTRH, 4096, rh.NullSink{})),
+		testutil.Must(NewTWiCE(geom, testTRH, 0)),
+		testutil.Must(NewCAT(geom, testTRH, 0)),
+		testutil.Must(NewDCBF(geom, testTRH, 0, 1)),
 	}
 	names := map[string]bool{}
 	for _, tr := range trackers {
@@ -486,15 +487,15 @@ func TestMisraGriesVictimIsReproducible(t *testing.T) {
 		make func() (rh.Tracker, int) // tracker and its table capacity
 	}{
 		{"graphene", func() (rh.Tracker, int) {
-			g := MustNewGraphene(geom, 20)
+			g := testutil.Must(NewGraphene(geom, 20))
 			return g, g.EntriesPerBank()
 		}},
 		{"dapper", func() (rh.Tracker, int) {
-			d := MustNewDAPPER(geom, 20)
+			d := testutil.Must(NewDAPPER(geom, 20))
 			return d, d.EntriesPerBank()
 		}},
 		{"start", func() (rh.Tracker, int) {
-			s := MustNewSTART(geom, 20, 40*startEntryBytes)
+			s := testutil.Must(NewSTART(geom, 20, 40*startEntryBytes))
 			return s, s.Capacity()
 		}},
 	}
@@ -576,7 +577,7 @@ func (c *flatCRA) activate(row rh.Row) bool {
 func TestCRAMatchesFlatReference(t *testing.T) {
 	geom := Geometry{Rows: 5*rh.CounterPageRows + 300} // CRA reads only Rows
 	var got, want logSink
-	c := MustNewCRA(geom, testTRH, 1024, &got)
+	c := testutil.Must(NewCRA(geom, testTRH, 1024, &got))
 	mc, err := cache.New(16, 16, cache.LRU)
 	if err != nil {
 		t.Fatal(err)

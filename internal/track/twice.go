@@ -77,15 +77,6 @@ func NewTWiCE(geom Geometry, trh, entriesPerBank int) (*TWiCE, error) {
 	return tw, nil
 }
 
-// MustNewTWiCE is NewTWiCE for statically valid parameters.
-func MustNewTWiCE(geom Geometry, trh, entriesPerBank int) *TWiCE {
-	t, err := NewTWiCE(geom, trh, entriesPerBank)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements rh.Tracker.
 func (t *TWiCE) Name() string { return "twice" }
 

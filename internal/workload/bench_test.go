@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/testutil"
 )
 
 // BenchmarkStreamNext measures trace-generation speed, which bounds
@@ -16,7 +17,7 @@ func BenchmarkStreamNext(b *testing.B) {
 	mem := dram.Baseline()
 	cfg := DefaultStreamConfig(mem, mem.RowsPerBank-17)
 	cfg.ActBudget = 1 << 30
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -38,7 +39,7 @@ func TestStreamNextSteadyStateAllocFree(t *testing.T) {
 	mem := dram.Baseline()
 	cfg := DefaultStreamConfig(mem, mem.RowsPerBank-17)
 	cfg.ActBudget = 1 << 30
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	for i := 0; i < 10_000; i++ { // warm up: internal buffers reach steady state
 		if _, ok := s.Next(); !ok {
 			t.Fatal("stream exhausted during warm-up")
@@ -63,7 +64,7 @@ func BenchmarkGUPSStream(b *testing.B) {
 	mem := dram.Baseline()
 	cfg := DefaultStreamConfig(mem, mem.RowsPerBank-17)
 	cfg.ActBudget = 1 << 30
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -250,15 +250,6 @@ func placement(rows int, seed uint64) []int32 {
 	return perm
 }
 
-// MustNewStream is NewStream for statically valid parameters.
-func MustNewStream(p Profile, cfg StreamConfig) *Stream {
-	s, err := NewStream(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // ActBudget returns the total activations this stream will produce.
 func (s *Stream) ActBudget() int { return s.actsLeft }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/testutil"
 )
 
 func testStreamConfig() StreamConfig {
@@ -109,8 +110,8 @@ func within(got, want, tol float64) bool {
 func TestStreamDeterminism(t *testing.T) {
 	p, _ := ByName("xz")
 	cfg := testStreamConfig()
-	a := MustNewStream(p, cfg)
-	b := MustNewStream(p, cfg)
+	a := testutil.Must(NewStream(p, cfg))
+	b := testutil.Must(NewStream(p, cfg))
 	for i := 0; i < 10000; i++ {
 		ra, oka := a.Next()
 		rb, okb := b.Next()
@@ -143,7 +144,7 @@ func TestNewStreamsMatchesNewStream(t *testing.T) {
 			for core, got := range streams {
 				c := cfg
 				c.CoreID = core
-				want := MustNewStream(p, c)
+				want := testutil.Must(NewStream(p, c))
 				for i := 0; ; i++ {
 					rg, okg := got.Next()
 					rw, okw := want.Next()
@@ -167,7 +168,7 @@ func TestStreamsPartitionedPerCore(t *testing.T) {
 	rowsOf := func(core int) map[int]bool {
 		c := cfg
 		c.CoreID = core
-		s := MustNewStream(p, c)
+		s := testutil.Must(NewStream(p, c))
 		rows := map[int]bool{}
 		for i := 0; i < 5000; i++ {
 			r, ok := s.Next()
@@ -189,7 +190,7 @@ func TestStreamsPartitionedPerCore(t *testing.T) {
 func TestStreamRespectsDemandBound(t *testing.T) {
 	p, _ := ByName("deepsjeng")
 	cfg := testStreamConfig()
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	for i := 0; i < 20000; i++ {
 		r, ok := s.Next()
 		if !ok {
@@ -205,7 +206,7 @@ func TestGUPSSingleLineBursts(t *testing.T) {
 	p, _ := ByName("GUPS")
 	cfg := testStreamConfig()
 	cfg.WriteFrac = 0
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	prev := uint64(1 << 62)
 	sameRow := 0
 	n := 5000
@@ -232,7 +233,7 @@ func TestWriteFraction(t *testing.T) {
 	p, _ := ByName("lbm")
 	cfg := testStreamConfig()
 	cfg.WriteFrac = 0.25
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	var reads, writes int
 	for {
 		r, ok := s.Next()
@@ -279,7 +280,7 @@ func TestActBudgetOverride(t *testing.T) {
 	cfg.ActBudget = 100
 	cfg.WriteFrac = 0
 	cfg.Burst = 1
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	n := 0
 	for {
 		if _, ok := s.Next(); !ok {
@@ -299,7 +300,7 @@ func TestBudgetConservation(t *testing.T) {
 	cfg := testStreamConfig()
 	cfg.ActBudget = 500
 	cfg.WriteFrac = 0
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	reads := 0
 	for {
 		r, ok := s.Next()
@@ -355,7 +356,7 @@ func TestMultiPassReuse(t *testing.T) {
 	cfg := testStreamConfig()
 	cfg.WriteFrac = 0
 	cfg.Burst = 1
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	firstSeen := map[uint64]int{}
 	lastSeen := map[uint64]int{}
 	i := 0
@@ -388,7 +389,7 @@ func TestMultiPassReuse(t *testing.T) {
 func TestGapMatchesMPKI(t *testing.T) {
 	p, _ := ByName("bc_t") // MPKI 84.6 -> gap 12
 	cfg := testStreamConfig()
-	s := MustNewStream(p, cfg)
+	s := testutil.Must(NewStream(p, cfg))
 	r, ok := s.Next()
 	if !ok || r.Gap != 12 {
 		t.Fatalf("gap = %d, want 12", r.Gap)
