@@ -9,16 +9,14 @@ GO       ?= go
 BASELINE ?= $(shell git ls-files 'BENCH_*.json' | sort -V | tail -1)
 # Fractional slowdown tolerated by bench-compare before it fails.
 BENCHTOL ?= 0.40
-# Extra benchgate flags for bench-compare. Baselines are stamped with
-# the machine they were recorded on and comparisons fail loudly on a
-# mismatch; a CI runner that differs from the recording machine passes
-# BENCHFLAGS=-allow-env-mismatch to downgrade that to a warning.
+# Extra `hydrastat bench` flags for bench-compare. Baselines are
+# stamped with the machine they were recorded on and comparisons fail
+# loudly on a mismatch; a CI runner that differs from the recording
+# machine passes BENCHFLAGS=-allow-env-mismatch to downgrade that to a
+# warning.
 BENCHFLAGS ?=
-# Optional prior `go test -bench` text output to embed in the baseline
-# (records the speedup the current tree delivers over it).
-PREV     ?=
 
-.PHONY: all build test check fmt-check soak docs-lint bench bench-smoke bench-baseline bench-compare figures profile clean
+.PHONY: all build test check fmt-check soak docs-lint bench-smoke bench-baseline bench-compare figures profile clean
 
 all: build test
 
@@ -74,9 +72,6 @@ soak:
 docs-lint:
 	$(GO) run ./cmd/doclint
 
-bench:
-	$(GO) test -bench . -benchtime 1x -benchmem ./...
-
 # bench-smoke compiles and runs every benchmark exactly once, without
 # the unit tests (-run ^$$), as a fast structural check.
 bench-smoke:
@@ -84,21 +79,25 @@ bench-smoke:
 
 # bench-baseline snapshots current benchmark results into a new
 # baseline: pass BASELINE=BENCH_<N+1>.json. The default BASELINE is the
-# newest committed file, which benchgate refuses to overwrite. Pass
-# PREV=<old bench text output> to record the prior numbers and
-# per-benchmark speedups in the artifact. -p 1 runs the per-package
-# test binaries serially: benchmarks must not time themselves while
-# another package's benchmarks compete for the CPU.
+# newest committed file, which `hydrastat bench -write` refuses to
+# overwrite. -p 1 runs the per-package test binaries serially:
+# benchmarks must not time themselves while another package's
+# benchmarks compete for the CPU. -count 5 runs every benchmark five
+# times, and the baseline records the median of each column, so every
+# later comparison reads a central sample rather than one outlier
+# (10–11 minutes on 2 vCPUs, paid once per baseline).
 bench-baseline:
-	$(GO) test -p 1 -bench . -benchmem -run '^$$' ./... \
-		| $(GO) run ./cmd/benchgate -write -out $(BASELINE) $(if $(PREV),-prev $(PREV))
+	$(GO) test -p 1 -count 5 -bench . -benchmem -run '^$$' ./... \
+		| $(GO) run ./cmd/hydrastat bench -write $(BASELINE)
 
-# bench-compare re-runs the benchmarks (serially, like the baseline)
-# and fails if any regresses beyond BENCHTOL against the committed
-# baseline.
+# bench-compare re-runs the benchmarks once each (serially, about 2
+# minutes on 2 vCPUs) and fails if any regresses beyond BENCHTOL in
+# ns/op, or beyond 0.1% in allocs/op, against the committed baseline.
+# It takes one sample: on a shared host a median of five flagged about
+# as many rows at five times the cost (docs/PERFORMANCE.md).
 bench-compare:
 	$(GO) test -p 1 -bench . -benchmem -run '^$$' ./... \
-		| $(GO) run ./cmd/benchgate -compare $(BASELINE) -tolerance $(BENCHTOL) $(BENCHFLAGS)
+		| $(GO) run ./cmd/hydrastat bench -compare $(BASELINE) -tolerance $(BENCHTOL) $(BENCHFLAGS)
 
 # Regenerate every figure and table at the default scale.
 figures:

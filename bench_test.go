@@ -4,10 +4,11 @@
 // run with -v (or see EXPERIMENTS.md) for the full report text.
 //
 // The footprint scale is HYDRA_BENCH_SCALE (default 64: every workload
-// simulates 1/64 of a 64 ms window with tracker structures scaled to
-// match, preserving the paper's footprint-to-structure ratios). Use
-// HYDRA_BENCH_SCALE=16 for the numbers recorded in EXPERIMENTS.md or
-// 1 for a full-window run.
+// simulates 1/64 of a 64 ms window with tracker structures scaled by
+// the same factor, which does not keep the paper's behaviour; see
+// DESIGN.md). Set 1 for a full-window run. EXPERIMENTS.md's numbers
+// come from `go run ./cmd/experiments -scale 16 all`, not from these
+// benchmarks.
 package hydra_test
 
 import (

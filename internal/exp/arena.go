@@ -90,7 +90,7 @@ func ArenaFuncTracker(name string, geom track.Geometry, trh int, seed uint64) (r
 	case "start":
 		return track.NewSTART(geom, trh, 0)
 	case "start-budget":
-		return track.NewSTART(geom, trh, arenaBudgetEntries*startEntryBytesExp)
+		return track.NewSTART(geom, trh, arenaBudgetEntries*track.StartEntryBytes)
 	case "mint":
 		return track.NewMINT(geom, trh, 0, seed)
 	case "dapper":
@@ -99,10 +99,6 @@ func ArenaFuncTracker(name string, geom track.Geometry, trh int, seed uint64) (r
 		return nil, fmt.Errorf("exp: unknown arena scheme %q", name)
 	}
 }
-
-// startEntryBytesExp mirrors track's per-entry START cost (8 B: row id
-// plus counter) for the budget configuration.
-const startEntryBytesExp = 8
 
 // ArenaSecurityRow is one (scheme, threshold, adversary) verdict from
 // the functional harness.

@@ -6,13 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obsv"
+	"repro/internal/testutil"
 )
 
 // TestLiveTelemetryEndToEnd drives the whole telemetry plane the way
@@ -62,9 +62,11 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 		collected <- out
 	}()
 
-	// Scrape /metrics concurrently with the running cells.
+	// Scrape /metrics concurrently with the running cells; the bodies
+	// are checked on the test goroutine, since ParseProm may t.Fatal.
 	stopScrape := make(chan struct{})
 	scrapeDone := make(chan struct{})
+	var scraped []string
 	go func() {
 		defer close(scrapeDone)
 		for {
@@ -80,7 +82,7 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 			}
 			body, _ := io.ReadAll(r.Body)
 			r.Body.Close()
-			checkProm(t, string(body))
+			scraped = append(scraped, string(body))
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -98,6 +100,9 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	bus.Close() // campaign over: the NDJSON stream must end
 	close(stopScrape)
 	<-scrapeDone
+	for _, body := range scraped {
+		testutil.ParseProm(t, body)
+	}
 
 	var events []ev
 	select {
@@ -173,7 +178,7 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	}
 	body, _ := io.ReadAll(r.Body)
 	r.Body.Close()
-	samples := checkProm(t, string(body))
+	samples := testutil.ParseProm(t, string(body))
 	okCells := 0
 	for _, c := range rep.Cells {
 		if c.Status == obsv.CellOK {
@@ -186,30 +191,4 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	if samples["memsim_reads"] <= 0 {
 		t.Errorf("merged simulator metrics absent from /metrics:\n%s", body)
 	}
-}
-
-// checkProm validates Prometheus text-exposition lines and returns the
-// samples (series with labels keyed by the full series string).
-func checkProm(t *testing.T, body string) map[string]float64 {
-	t.Helper()
-	samples := map[string]float64{}
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		if _, err := strconv.ParseFloat(line[sp+1:], 64); err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		samples[line[:sp]] = mustFloat(line[sp+1:])
-	}
-	return samples
-}
-
-func mustFloat(s string) float64 {
-	v, _ := strconv.ParseFloat(s, 64)
-	return v
 }

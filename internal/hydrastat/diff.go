@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/obsv"
+	"repro/internal/stats"
 )
 
 // GeomeanDelta is one (target, scheme, suite) geomean comparison.
@@ -17,8 +18,8 @@ type GeomeanDelta struct {
 	// normalized performance) than A.
 	Rel float64
 	// Regressed marks deltas where B dropped below A by more than the
-	// diff tolerance — the figure-level analogue of a benchgate
-	// failure.
+	// diff tolerance (stats.Compare, the rule `hydrastat bench` gates
+	// benchmark numbers with).
 	Regressed bool
 }
 
@@ -125,18 +126,14 @@ func (d *DiffReport) diffGeomeans(target string, ra, rb *obsv.Report, tol float6
 		if !ok {
 			continue
 		}
-		sa := ra.Geomeans[scheme]
-		for _, suite := range sortedKeys(sa) {
-			va := sa[suite]
-			vb, ok := sb[suite]
-			if !ok || va <= 0 {
+		for _, g := range stats.Compare(ra.Geomeans[scheme], sb, tol, stats.HigherIsBetter) {
+			if g.New || g.Removed || g.Base <= 0 {
 				continue // a 0 geomean means "no surviving workloads", not comparable
 			}
-			rel := (vb - va) / va
 			d.Geomeans = append(d.Geomeans, GeomeanDelta{
-				Target: target, Scheme: scheme, Suite: suite,
-				A: va, B: vb, Rel: rel,
-				Regressed: vb < va*(1-tol),
+				Target: target, Scheme: scheme, Suite: g.Name,
+				A: g.Base, B: g.Cur, Rel: (g.Cur - g.Base) / g.Base,
+				Regressed: g.Worse,
 			})
 		}
 	}

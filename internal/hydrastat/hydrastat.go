@@ -2,10 +2,10 @@
 // summarizes a report file (cell verdicts, geomeans, metric highlights,
 // histogram quantiles, slowest cells) and diffs two report files at
 // figure level (per-scheme geomean deltas, aggregate metric deltas)
-// with a configurable tolerance. It is the report-level complement to
-// cmd/benchgate, which gates on `go test -bench` numbers: benchgate
-// answers "did the simulator get slower", hydrastat diff answers "did
-// the simulated system change behavior".
+// with a configurable tolerance. Its diff answers "did the simulated
+// system change behavior"; `hydrastat bench` answers "did the
+// simulator get slower" from `go test -bench` numbers. Both gate with
+// the one rule in stats.Compare.
 //
 // cmd/hydrastat is the thin CLI over this package.
 package hydrastat

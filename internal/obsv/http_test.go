@@ -7,11 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func TestPromName(t *testing.T) {
@@ -29,45 +30,6 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// parseProm validates Prometheus text-exposition lines: every
-// non-comment line must be `name{labels} value` or `name value` with a
-// legal identifier and a parseable float. Returns samples by line.
-func parseProm(t *testing.T, body string) map[string]float64 {
-	t.Helper()
-	samples := map[string]float64{}
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		series, val := line[:sp], line[sp+1:]
-		name := series
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			if !strings.HasSuffix(series, "}") {
-				t.Fatalf("unterminated labels in %q", line)
-			}
-			name = series[:i]
-		}
-		for j, r := range name {
-			ok := r == '_' || r == ':' ||
-				(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-				(r >= '0' && r <= '9' && j > 0)
-			if !ok {
-				t.Fatalf("illegal metric name %q in line %q", name, line)
-			}
-		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		samples[series] = v
-	}
-	return samples
-}
-
 func TestWriteProm(t *testing.T) {
 	h := NewHist(10, 20)
 	for v := int64(1); v <= 20; v++ {
@@ -83,7 +45,7 @@ func TestWriteProm(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	samples := parseProm(t, out)
+	samples := testutil.ParseProm(t, out)
 
 	if got := samples["memsim_reads"]; got != 42 {
 		t.Errorf("counter = %v, want 42", got)
@@ -172,7 +134,7 @@ func TestServerEndpoints(t *testing.T) {
 	if !strings.Contains(ctype, "version=0.0.4") {
 		t.Errorf("/metrics content type %q", ctype)
 	}
-	if got := parseProm(t, body)["memsim_reads"]; got != 7 {
+	if got := testutil.ParseProm(t, body)["memsim_reads"]; got != 7 {
 		t.Errorf("/metrics memsim_reads = %v, want 7", got)
 	}
 

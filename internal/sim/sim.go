@@ -53,9 +53,11 @@ type Config struct {
 	Profile workload.Profile
 
 	// Scale divides the workload footprint and, unless
-	// KeepStructSize is set, the tracker structures, preserving the
-	// footprint-to-structure ratios of the paper while simulating a
-	// fraction of a 64 ms window.
+	// KeepStructSize is set, the tracker structures, to simulate a
+	// fraction of a 64 ms window. It is a speed knob, not a fidelity
+	// claim: it does not keep the paper's behaviour, since a Hydra GCT
+	// group spans 128·Scale rows and CRA's shrunken metadata cache hits
+	// far less often (DESIGN.md).
 	Scale          float64
 	KeepStructSize bool
 

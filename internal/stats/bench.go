@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -65,18 +66,16 @@ func (e BenchEnv) Mismatch(base BenchEnv) string {
 	return ""
 }
 
-// BenchFile is the on-disk baseline artifact: the current measurements,
-// the environment they were recorded in, and, optionally, the
-// measurements they were compared against when the baseline was written
-// (so the file records the speedup a change delivered, not just its
-// endpoint). Env is nil in baselines written before it existed; those
-// compare without the environment check.
+// BenchFile is the on-disk baseline artifact: the measurements and the
+// environment they were recorded in. Env is nil in baselines written
+// before it existed; those compare without the environment check.
+// BENCH_4.json and BENCH_8.json to BENCH_12.json also carry the
+// `previous` and `speedup` tables that a removed write option recorded;
+// they load, and the tables are ignored.
 type BenchFile struct {
 	Schema     string                 `json:"schema"`
 	Env        *BenchEnv              `json:"env,omitempty"`
 	Benchmarks map[string]BenchResult `json:"benchmarks"`
-	Previous   map[string]BenchResult `json:"previous,omitempty"`
-	Speedup    map[string]float64     `json:"speedup,omitempty"`
 }
 
 // ParseBench extracts benchmark lines from `go test -bench` output.
@@ -157,100 +156,90 @@ func benchName(s string) string {
 	return s
 }
 
-// BenchDelta is the comparison of one benchmark against its baseline.
-type BenchDelta struct {
+// Direction says which way a compared value improves.
+type Direction int
+
+const (
+	LowerIsBetter  Direction = iota // ns/op, allocs/op
+	HigherIsBetter                  // normalized-performance geomeans
+)
+
+// Delta is one named value matched against its baseline by Compare.
+type Delta struct {
 	Name      string
-	Baseline  BenchResult // zero value when New
-	Current   BenchResult
-	Ratio     float64 // current ns/op over baseline ns/op (0 when New or Removed)
-	New       bool    // present in current but absent from the baseline
-	Removed   bool    // present in the baseline but absent from current
-	Regressed bool
-	Reason    string
+	Base, Cur float64 // zero on the side the name is missing from
+	New       bool    // only in the current values
+	Removed   bool    // only in the baseline
+	Worse     bool    // worse than Base by more than the bound
 }
 
-// allocSlack is the per-op allocation increase tolerated before a
-// benchmark counts as regressed: 0.1% of the baseline, truncated.
-// Microbenchmark counts are deterministic and small, so the slack is
-// zero there — going from 0 to 1 allocs/op fails. End-to-end
-// benchmarks that allocate millions of times per op (the figure
-// sweeps schedule cells over a worker pool of goroutines) jitter by a
-// handful of allocations between runs; the slack absorbs that without
-// masking a real leak.
-func allocSlack(base int64) int64 {
-	return base / 1000
-}
-
-// CompareBench checks current results against a baseline. A benchmark
-// regresses when its time exceeds the baseline by more than tolerance
-// (e.g. 0.25 = 25%), or when it allocates more per op than the
-// baseline recorded plus a 0.1% jitter slack (zero for benchmarks
-// under 1000 allocs/op, where counts are deterministic). A benchmark
-// present in the current run but absent from the baseline is reported
-// as New and never regresses — newly added benchmarks must not force a
-// hand-edited baseline. A benchmark only in the baseline is reported
-// as Removed and never regresses either, so a deleted or renamed
-// benchmark is listed rather than silently dropped from the gate.
-func CompareBench(baseline, current map[string]BenchResult, tolerance float64) []BenchDelta {
-	names := make([]string, 0, len(current)+len(baseline))
-	for name := range current {
+// Compare matches current values against their baselines by name and
+// returns one Delta per name, in name order. A value is Worse when it
+// lies beyond base+bound·|base| when lower is better, or below
+// base−bound·|base| when higher is. The margin is added to the
+// baseline, not multiplied into it, so an integer count with bound
+// AllocBound may exceed its baseline by ⌊base/1000⌋ and no more (the
+// product base·1.001 already flags 1,000 → 1,001), and a decimal move
+// of exactly the bound, such as 1 → 0.99 at 0.01, is not Worse. A name
+// on one side only is New or Removed and never Worse, so an added
+// benchmark does not force a new baseline and a deleted one is listed
+// rather than silently dropped.
+func Compare(base, cur map[string]float64, bound float64, dir Direction) []Delta {
+	names := make([]string, 0, len(base)+len(cur))
+	for name := range base {
 		names = append(names, name)
 	}
-	for name := range baseline {
-		if _, ok := current[name]; !ok {
+	for name := range cur {
+		if _, ok := base[name]; !ok {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	deltas := make([]BenchDelta, 0, len(names))
-	for _, name := range names {
-		cur, inCur := current[name]
-		base, inBase := baseline[name]
-		if !inBase {
-			deltas = append(deltas, BenchDelta{Name: name, Current: cur, New: true})
-			continue
+	out := make([]Delta, len(names))
+	for i, name := range names {
+		b, inBase := base[name]
+		c, inCur := cur[name]
+		margin := bound * math.Abs(b)
+		worse := c > b+margin
+		if dir == HigherIsBetter {
+			worse = c < b-margin
 		}
-		if !inCur {
-			deltas = append(deltas, BenchDelta{Name: name, Baseline: base, Removed: true})
-			continue
-		}
-		d := BenchDelta{Name: name, Baseline: base, Current: cur}
-		if base.NsPerOp > 0 {
-			d.Ratio = cur.NsPerOp / base.NsPerOp
-		}
-		switch {
-		case base.NsPerOp > 0 && cur.NsPerOp > base.NsPerOp*(1+tolerance):
-			d.Regressed = true
-			d.Reason = fmt.Sprintf("%.1f ns/op exceeds baseline %.1f by more than %.0f%%",
-				cur.NsPerOp, base.NsPerOp, tolerance*100)
-		case base.AllocsPerOp >= 0 && cur.AllocsPerOp > base.AllocsPerOp+allocSlack(base.AllocsPerOp):
-			d.Regressed = true
-			d.Reason = fmt.Sprintf("%d allocs/op exceeds baseline %d",
-				cur.AllocsPerOp, base.AllocsPerOp)
-		}
-		deltas = append(deltas, d)
+		out[i] = Delta{Name: name, Base: b, Cur: c, New: !inBase, Removed: !inCur,
+			Worse: inBase && inCur && worse}
 	}
-	return deltas
+	return out
+}
+
+// AllocBound is the benchmark gate's bound on allocs/op: 0.1% of the
+// baseline, which Compare truncates to ⌊base/1000⌋ allocations.
+// Microbenchmark counts are deterministic and under 1000, so going
+// from 0 to 1 allocs/op fails. The figure sweeps schedule cells over a
+// worker pool, so their counts jitter between runs; for the smallest,
+// a few thousand allocs/op, the jitter exceeds this slack
+// (docs/PERFORMANCE.md, "The regression gate").
+const AllocBound = 0.001
+
+// BenchColumns splits results into the two columns the benchmark gate
+// compares, ns/op and allocs/op. A result without allocs/op (-1, from
+// a run without -benchmem) has no allocs entry, so Compare lists it as
+// New or Removed there instead of comparing -1.
+func BenchColumns(rs map[string]BenchResult) (ns, allocs map[string]float64) {
+	ns, allocs = make(map[string]float64, len(rs)), make(map[string]float64, len(rs))
+	for name, r := range rs {
+		ns[name] = r.NsPerOp
+		if r.AllocsPerOp >= 0 {
+			allocs[name] = float64(r.AllocsPerOp)
+		}
+	}
+	return ns, allocs
 }
 
 // WriteBenchFile writes the baseline artifact, stamped with the
-// current environment. When prev is non-empty the file also records
-// those prior measurements and the per-benchmark speedup (prev time
-// over current time). Baselines are append-only: the file is created
+// current environment. Baselines are append-only: the file is created
 // exclusively, and an existing path is an error that leaves it intact.
-func WriteBenchFile(path string, current, prev map[string]BenchResult) error {
+func WriteBenchFile(path string, current map[string]BenchResult) error {
 	env := CurrentBenchEnv()
-	f := BenchFile{Schema: BenchSchema, Env: &env, Benchmarks: current}
-	if len(prev) > 0 {
-		f.Previous = prev
-		f.Speedup = make(map[string]float64)
-		for name, p := range prev {
-			if c, ok := current[name]; ok && c.NsPerOp > 0 {
-				f.Speedup[name] = p.NsPerOp / c.NsPerOp
-			}
-		}
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
+	data, err := json.MarshalIndent(BenchFile{Schema: BenchSchema, Env: &env, Benchmarks: current}, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 // Package testutil holds the shared test scaffolding. Must builds a
 // value whose constructor returns an error the test knows cannot
-// happen. Intensity is the test-tier knob: expensive suites —
+// happen. ParseProm checks and reads a Prometheus text exposition.
+// Intensity is the test-tier knob: expensive suites —
 // the crash-point sweep, fuzz-style property loops, soak runs — scale
 // their iteration counts through Intensity instead of hardcoding them,
 // so one environment variable moves the whole tree between a fast
@@ -13,6 +14,8 @@ package testutil
 import (
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -75,4 +78,44 @@ func Must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+// ParseProm validates Prometheus text-exposition lines: every
+// non-comment line must be `name{labels} value` or `name value` with a
+// legal metric name and a parseable float. It returns the samples
+// keyed by series (the name with its labels).
+func ParseProm(tb testing.TB, body string) map[string]float64 {
+	tb.Helper()
+	samples := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			tb.Fatalf("malformed exposition line %q", line)
+		}
+		series, val := line[:sp], line[sp+1:]
+		name := series
+		if i := strings.IndexByte(series, '{'); i >= 0 {
+			if !strings.HasSuffix(series, "}") {
+				tb.Fatalf("unterminated labels in %q", line)
+			}
+			name = series[:i]
+		}
+		for j, r := range name {
+			ok := r == '_' || r == ':' ||
+				(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
+				(r >= '0' && r <= '9' && j > 0)
+			if !ok {
+				tb.Fatalf("illegal metric name %q in line %q", name, line)
+			}
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			tb.Fatalf("unparseable value in %q: %v", line, err)
+		}
+		samples[series] = v
+	}
+	return samples
 }

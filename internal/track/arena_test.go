@@ -34,13 +34,13 @@ func TestSTARTGuaranteeSizing(t *testing.T) {
 	if got := s.Capacity(); got != 800 {
 		t.Errorf("capacity = %d, want 800", got)
 	}
-	if got := s.SRAMBytes(); got != 800*startEntryBytes {
-		t.Errorf("borrowed bytes = %d, want %d", got, 800*startEntryBytes)
+	if got := s.SRAMBytes(); got != 800*StartEntryBytes {
+		t.Errorf("borrowed bytes = %d, want %d", got, 800*StartEntryBytes)
 	}
 	// An explicit LLC budget overrides the guarantee sizing.
 	small := testutil.Must(NewSTART(geom, testTRH, 1024))
-	if got := small.Capacity(); got != 1024/startEntryBytes {
-		t.Errorf("budgeted capacity = %d, want %d", got, 1024/startEntryBytes)
+	if got := small.Capacity(); got != 1024/StartEntryBytes {
+		t.Errorf("budgeted capacity = %d, want %d", got, 1024/StartEntryBytes)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestSTARTSecurityUnderCrossBankThrash(t *testing.T) {
 // activations untracked.
 func TestSTARTUnderProvisionedPoolEvaded(t *testing.T) {
 	geom := testGeom()
-	s := testutil.Must(NewSTART(geom, testTRH, 16*startEntryBytes)) // 16 entries vs 800 guaranteed
+	s := testutil.Must(NewSTART(geom, testTRH, 16*StartEntryBytes)) // 16 entries vs 800 guaranteed
 	target := rh.Row(3)
 	trueActs, mitigs := 0, 0
 	for i := 0; i < 20000; i++ {

@@ -122,7 +122,7 @@ func TestMisraGriesMatchesReference(t *testing.T) {
 	}
 	g := testutil.Must(NewGraphene(geom, 20))
 	d := testutil.Must(NewDAPPER(geom, 20))
-	s := testutil.Must(NewSTART(geom, 20, 40*startEntryBytes))
+	s := testutil.Must(NewSTART(geom, 20, 40*StartEntryBytes))
 	cases := []mgCase{
 		{"graphene", g, perBank(g.banks), geom.bank, func(rh.Row) int { return g.threshold }, g.perBank},
 		{"dapper", d, perBank(d.banks), geom.bank, func(r rh.Row) int { return d.threshold - d.jitter(r) }, d.perBank},

@@ -54,11 +54,11 @@ type START struct {
 	SpilloverPeak int
 }
 
-// startEntryBytes is the LLC cost of one pooled entry: a row tag plus
+// StartEntryBytes is the LLC cost of one pooled entry: a row tag plus
 // count packed into 8 bytes (the model's calibration; the paper stores
 // entries at cache-line granularity and reports ~2% LLC in the common
 // case).
-const startEntryBytes = 8
+const StartEntryBytes = 8
 
 var _ rh.Tracker = (*START)(nil)
 
@@ -78,7 +78,7 @@ func NewSTART(geom Geometry, trh, llcBytes int) (*START, error) {
 	t := mitigationThreshold(trh)
 	capacity := (geom.Banks*geom.ACTMax + t - 1) / t
 	if llcBytes > 0 {
-		capacity = llcBytes / startEntryBytes
+		capacity = llcBytes / StartEntryBytes
 		if capacity < 1 {
 			return nil, fmt.Errorf("track: LLC budget %d B holds no entries", llcBytes)
 		}
@@ -133,7 +133,7 @@ func (s *START) ResetWindow() {
 // Tables 1/5 machinery still prices the borrowed capacity, since LLC
 // ways given to tracking are LLC ways taken from demand data.
 func (s *START) SRAMBytes() int {
-	return s.capacity * startEntryBytes
+	return s.capacity * StartEntryBytes
 }
 
 // Spillover returns the pool's current spillover floor (for tests).

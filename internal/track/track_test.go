@@ -495,7 +495,7 @@ func TestMisraGriesVictimIsReproducible(t *testing.T) {
 			return d, d.EntriesPerBank()
 		}},
 		{"start", func() (rh.Tracker, int) {
-			s := testutil.Must(NewSTART(geom, 20, 40*startEntryBytes))
+			s := testutil.Must(NewSTART(geom, 20, 40*StartEntryBytes))
 			return s, s.Capacity()
 		}},
 	}
