@@ -40,7 +40,7 @@ test:
 # tests already run minutes natively and the race detector multiplies
 # that several-fold. The memsim equivalence machines also run at the
 # thorough tier: every cell runs through the epoch engine, and its 20x
-# cases take about a second. The last step runs the end-to-end
+# cases take about a second. The last steps vet and run the end-to-end
 # benchmark's own tests (bench/ is a separate module the root ./...
 # never builds): they replay every benchmark workload against
 # bench/golden.json, the proof that a hot-path change left simulated
@@ -49,6 +49,7 @@ check: fmt-check bench-smoke docs-lint
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	TEST_INTENSITY=thorough $(GO) test ./internal/memsim
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test ./...
 
 # fmt-check fails when gofmt would reformat any file (it lists them).

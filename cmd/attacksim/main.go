@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/cli"
@@ -80,17 +81,18 @@ func run(ctx context.Context, args []string) error {
 		},
 	}
 
-	names := []string{"hydra", "graphene", "ocpr", "para", "twice", "cat", "prohit", "mrloc", "start", "mint", "dapper"}
+	// "all" is every functional model but CRA, which runs by name.
+	kinds := slices.DeleteFunc(sim.FuncKinds(), func(k sim.TrackerKind) bool { return k == sim.TrackCRA })
 	if *trackerName != "all" {
-		names = []string{*trackerName}
+		kinds = []sim.TrackerKind{sim.TrackerKind(*trackerName)}
 	}
 	broken := false
-	for _, name := range names {
+	for _, kind := range kinds {
 		for _, mk := range patterns {
 			if err := ctx.Err(); err != nil {
 				return err // interrupted between patterns
 			}
-			tr, err := exp.ArenaFuncTracker(name, geom, *trh, 7)
+			tr, err := exp.ArenaFuncTracker(kind, geom, *trh, 7)
 			if err != nil {
 				return cli.Usagef("%v", err)
 			}

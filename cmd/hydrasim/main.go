@@ -10,7 +10,9 @@
 //	hydrasim -workload 'custom:SPEC:20:16000:400:40'    # ad-hoc profile
 //
 // Trackers: none hydra hydra-nogct hydra-norcc graphene cra ocpr para
-// start mint dapper
+// start mint dapper, the kinds sim.New runs. Any other -tracker (the
+// functional-only twice, cat, prohit and mrloc included) or a
+// -mitigation other than refresh, rowswap or throttle is a usage error.
 //
 // The -workload flag accepts a named profile from Table 3, "list" to
 // enumerate them, or an inline spec "name:suite:mpki:rows:hot:actsper"
@@ -91,6 +93,9 @@ func run(ctx context.Context, args []string) error {
 	cfg.Tracker = sim.TrackerKind(*tracker)
 	cfg.CRACacheBytes = *craKB * 1024
 	cfg.Mitigation = sim.MitigationPolicy(*policy)
+	if err := cfg.Validate(); err != nil {
+		return cli.Usagef("%v", err) // an unknown -tracker or -mitigation
+	}
 	if *traceOut != "" {
 		cfg.Trace = obsv.NewTracer(*traceCap)
 	}

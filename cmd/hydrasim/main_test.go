@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/obsv"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -128,5 +131,29 @@ func TestListenIsUnknown(t *testing.T) {
 	err := run(context.Background(), []string{"-listen", ":0", "-workload", "list"})
 	if want := "flag provided but not defined: -listen"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("run returned %v, want an error containing %q", err, want)
+	}
+}
+
+// TestUnknownTrackerIsUsageError requires an unknown -tracker, a
+// functional-only one and an unknown -mitigation each to exit with the
+// usage code before anything runs.
+func TestUnknownTrackerIsUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := filepath.Join(t.TempDir(), "hydrasim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-tracker", "bogus"},
+		{"-tracker", "twice"},
+		{"-mitigation", "bogus"},
+	} {
+		out, err := exec.Command(bin, append(args, "-baseline=false", "-scale", "4096")...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitUsage {
+			t.Errorf("%v: exit = %v, want code %d\n%s", args, err, cli.ExitUsage, out)
+		}
 	}
 }

@@ -17,9 +17,10 @@
 //
 // The heavier machinery — the DDR4 memory-system simulator, the 36
 // calibrated workloads, the baseline trackers (Graphene, CRA, OCPR,
-// PARA, TWiCE, CAT, D-CBF), the attack suite and the per-figure
-// experiment harness — lives in the internal packages and is driven by
-// the binaries under cmd/ and the examples under examples/.
+// PARA, TWiCE, CAT, ProHIT, MRLoC, START, MINT, DAPPER), the attack
+// suite and the per-figure experiment harness — lives in the internal
+// packages and is driven by the binaries under cmd/ and the examples
+// under examples/.
 package hydra
 
 import (

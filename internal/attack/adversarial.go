@@ -209,7 +209,6 @@ func MitigationBurst(tr rh.Tracker, pattern Pattern, cfg Config, bucketActs int)
 		bucketActs = 64
 	}
 	ref := mitigate.NewRefresher(tr, cfg.Blast, cfg.RowsPerBank)
-	ref.MetaOf = cfg.MetaOf
 	last := int64(0)
 	inBucket := 0
 	for i := 0; i < cfg.ActsPerWin; i++ {

@@ -255,7 +255,6 @@ type Config struct {
 	Blast       int
 	ActsPerWin  int // demand activations per tracking window
 	Windows     int // number of windows (reset between them)
-	MetaOf      func(rh.Row) (int, bool)
 }
 
 // Run drives a tracker through an attack pattern under the victim-
@@ -269,7 +268,6 @@ func Run(tr rh.Tracker, pattern Pattern, cfg Config) Result {
 	}
 	oracle := NewOracle(cfg.TRH)
 	ref := mitigate.NewRefresher(tr, cfg.Blast, cfg.RowsPerBank)
-	ref.MetaOf = cfg.MetaOf
 	ref.Observer = oracle
 	demand := int64(0)
 	for w := 0; w < cfg.Windows; w++ {

@@ -193,7 +193,6 @@ func TestCounterRowAttack(t *testing.T) {
 	oracle2 := NewOracle(testTRH)
 	sink2 := &MetaRowSink{RowBytes: 8192, Oracle: oracle2, MetaBase: rh.Row(testRows)}
 	c := testutil.Must(track.NewCRA(testGeom(), testTRH, 256, sink2))
-	sink2.Guard = c
 	for i := 0; i < 30000; i++ {
 		row := rh.Row((i * 64) % testRows) // one line per activation
 		oracle2.Activated(row)

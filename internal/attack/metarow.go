@@ -4,11 +4,6 @@ import (
 	"repro/internal/rh"
 )
 
-// MetaGuard is the slice of rh.Tracker the counter-row attack needs.
-type MetaGuard interface {
-	ActivateMeta(metaRow int) bool
-}
-
 // MetaRowSink mounts the counter-row attack surface (Section 5.2.2):
 // it converts every metadata line transfer a tracker issues into an
 // activation of the DRAM row holding that line — the conservative
@@ -18,7 +13,7 @@ type MetaGuard interface {
 // row ids starting at MetaBase so violations are attributable.
 type MetaRowSink struct {
 	RowBytes int
-	Guard    MetaGuard // set after constructing the tracker
+	Guard    rh.MetaGuard // set after constructing the tracker
 	Oracle   *Oracle
 	MetaBase rh.Row
 

@@ -158,7 +158,8 @@ func (t *Tracker) CollectInto(r *obsv.Registry) { t.stats.CollectInto(r) }
 // SRAMBytes implements rh.Tracker.
 func (t *Tracker) SRAMBytes() int { return t.cfg.Storage().TotalBytes }
 
-// MetaRows implements rh.Tracker.
+// MetaRows reports how many DRAM rows the RCT occupies: the reserved
+// region a memory system sets aside, one RIT-ACT counter per row.
 func (t *Tracker) MetaRows() int { return t.cfg.MetaRows() }
 
 // rctLineOffset returns the byte offset (64-byte aligned) of the RCT
@@ -308,7 +309,7 @@ func (t *Tracker) storeRCT(idx uint32, v uint16) {
 	t.rct.Set(idx, v^t.fill)
 }
 
-// ActivateMeta implements rh.Tracker: activations of the RCT's own
+// ActivateMeta implements rh.MetaGuard: activations of the RCT's own
 // DRAM rows are tracked by the dedicated RIT-ACT SRAM counters
 // (Section 5.2.2) and mitigated at T_H like any other row.
 func (t *Tracker) ActivateMeta(metaRow int) bool {

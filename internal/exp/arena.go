@@ -11,10 +11,10 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obsv"
 	"repro/internal/rh"
@@ -27,31 +27,18 @@ import (
 // near-term operating points down to the ultra-low 500.
 var DefaultArenaThresholds = []int{4800, 2000, 1000, 500}
 
-// arenaBudgetEntries is the deliberately under-provisioned START pool
-// used by the "start-budget" security row: far below the guarantee
-// sizing at every swept threshold, so the eviction-storm adversary has
-// a capacity boundary to exploit.
-const arenaBudgetEntries = 32
+// arenaStartBudget is the arena's deliberately under-provisioned START:
+// a pool of 32 entries, far below the guarantee sizing at every swept
+// threshold, so the eviction-storm adversary has a capacity boundary to
+// exploit.
+const arenaStartBudget sim.TrackerKind = "start-budget"
 
-// ArenaSimSchemes lists the schemes the full timing simulator supports;
-// the arena's performance and adversarial-slowdown matrices cover
-// exactly these.
-func ArenaSimSchemes() []sim.TrackerKind {
-	return []sim.TrackerKind{
-		sim.TrackGraphene, sim.TrackCRA, sim.TrackOCPR, sim.TrackPARA,
-		sim.TrackHydra, sim.TrackSTART, sim.TrackMINT, sim.TrackDAPPER,
-	}
-}
-
-// ArenaFuncSchemes lists every scheme the functional security matrix
-// covers — the simulator-backed schemes plus the trackers that exist
-// only as functional models, and the under-provisioned "start-budget"
-// configuration.
-func ArenaFuncSchemes() []string {
-	return []string{
-		"hydra", "graphene", "cra", "ocpr", "para", "twice", "cat",
-		"prohit", "mrloc", "start", "start-budget", "mint", "dapper",
-	}
+// ArenaFuncSchemes lists the functional security matrix's schemes:
+// every kind sim.NewTracker builds, with the under-provisioned
+// "start-budget" right after START. The order seeds each security cell.
+func ArenaFuncSchemes() []sim.TrackerKind {
+	kinds := sim.FuncKinds()
+	return slices.Insert(kinds, slices.Index(kinds, sim.TrackSTART)+1, arenaStartBudget)
 }
 
 // arenaSecurityGeometry is the functional matrix's bank geometry: small
@@ -62,42 +49,13 @@ func arenaSecurityGeometry() track.Geometry {
 	return track.Geometry{Rows: 4096, RowsPerBank: 1024, Banks: 4, ACTMax: 100000}
 }
 
-// ArenaFuncTracker builds the named scheme's functional model sized for
-// geom at trh, matching the defaults the attacksim command uses.
-func ArenaFuncTracker(name string, geom track.Geometry, trh int, seed uint64) (rh.Tracker, error) {
-	switch name {
-	case "hydra":
-		cfg := core.ForThreshold(trh)
-		cfg.Rows = geom.Rows
-		cfg.Seed = seed
-		return core.New(cfg, rh.NullSink{})
-	case "graphene":
-		return track.NewGraphene(geom, trh)
-	case "cra":
-		return track.NewCRA(geom, trh, 64*1024, rh.NullSink{})
-	case "ocpr":
-		return track.NewOCPR(geom, trh)
-	case "para":
-		return track.NewPARA(trh, 1e-9, seed)
-	case "twice":
-		return track.NewTWiCE(geom, trh, 0)
-	case "cat":
-		return track.NewCAT(geom, trh, 0)
-	case "prohit":
-		return track.NewProHIT(geom, 1.0/16, seed)
-	case "mrloc":
-		return track.NewMRLoC(geom, seed)
-	case "start":
-		return track.NewSTART(geom, trh, 0)
-	case "start-budget":
-		return track.NewSTART(geom, trh, arenaBudgetEntries*track.StartEntryBytes)
-	case "mint":
-		return track.NewMINT(geom, trh, 0, seed)
-	case "dapper":
-		return track.NewDAPPER(geom, trh)
-	default:
-		return nil, fmt.Errorf("exp: unknown arena scheme %q", name)
+// ArenaFuncTracker builds one of ArenaFuncSchemes sized for geom at trh,
+// with no metadata traffic; the attacksim command uses the same models.
+func ArenaFuncTracker(kind sim.TrackerKind, geom track.Geometry, trh int, seed uint64) (rh.Tracker, error) {
+	if kind == arenaStartBudget {
+		return track.NewSTART(geom, trh, 32*track.StartEntryBytes)
 	}
+	return sim.NewTracker(kind, geom, trh, seed, rh.NullSink{})
 }
 
 // ArenaSecurityRow is one (scheme, threshold, adversary) verdict from
@@ -190,7 +148,8 @@ func Arena(o Options, thresholds []int) (*ArenaReport, error) {
 			return nil, fmt.Errorf("exp: arena threshold %d out of range (need >= 2)", trh)
 		}
 	}
-	schemes := ArenaSimSchemes()
+	schemes := sim.TimingKinds()
+	funcSchemes := ArenaFuncSchemes()
 	advs := attack.Adversaries()
 
 	// Benign performance: one variant per scheme@trh, one shared
@@ -217,13 +176,15 @@ func Arena(o Options, thresholds []int) (*ArenaReport, error) {
 	}
 
 	rep := &ArenaReport{
-		Thresholds:  append([]int(nil), thresholds...),
-		FuncSchemes: ArenaFuncSchemes(),
-		Perf:        perf,
-		Slowdown:    map[string]map[string]float64{},
+		Thresholds: append([]int(nil), thresholds...),
+		Perf:       perf,
+		Slowdown:   map[string]map[string]float64{},
 	}
 	for _, kind := range schemes {
 		rep.Schemes = append(rep.Schemes, string(kind))
+	}
+	for _, kind := range funcSchemes {
+		rep.FuncSchemes = append(rep.FuncSchemes, string(kind))
 	}
 	for _, a := range advs {
 		rep.Adversaries = append(rep.Adversaries, a.Key)
@@ -235,10 +196,11 @@ func Arena(o Options, thresholds []int) (*ArenaReport, error) {
 	// under o.Seed without replaying one stream everywhere.
 	geom := arenaSecurityGeometry()
 	for ti, trh := range thresholds {
-		for si, name := range rep.FuncSchemes {
+		for si, kind := range funcSchemes {
+			name := string(kind)
 			for ai, adv := range advs {
 				seed := o.seed() + uint64(ti*997+si*131+ai)*0x9e3779b9
-				tr, err := ArenaFuncTracker(name, geom, trh, seed)
+				tr, err := ArenaFuncTracker(kind, geom, trh, seed)
 				if err != nil {
 					return nil, err
 				}
@@ -262,7 +224,7 @@ func Arena(o Options, thresholds []int) (*ArenaReport, error) {
 				if adv.Key == "mitig-storm" {
 					// Burst shape needs a fresh tracker: Run consumed
 					// (and window-reset) the first one.
-					fresh, err := ArenaFuncTracker(name, geom, trh, seed)
+					fresh, err := ArenaFuncTracker(kind, geom, trh, seed)
 					if err != nil {
 						return nil, err
 					}

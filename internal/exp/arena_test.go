@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +28,7 @@ func TestArenaRestricted(t *testing.T) {
 	}
 
 	// Benign perf: every scheme@trh geomean present and plausible.
-	for _, kind := range ArenaSimSchemes() {
+	for _, kind := range sim.TimingKinds() {
 		for _, trh := range rep.Thresholds {
 			g := rep.Geomean(kind, trh)
 			if g <= 0 || g > 1.05 {
@@ -155,5 +158,34 @@ func TestArenaFuncTrackersBuildAtDefaultThresholds(t *testing.T) {
 				t.Errorf("%s at T_RH %d: %v", name, trh, err)
 			}
 		}
+	}
+}
+
+// TestArenaPinned pins the arena's results at scale 4096 on leela, seed
+// 1, over the default thresholds: one digest of the benign normalized
+// performance, every security verdict and the adversarial slowdown
+// matrix. The security matrix seeds each cell from its scheme's index
+// in ArenaFuncSchemes, so reordering that list moves verdicts: moving
+// "start-budget" to the end turns MINT's T_RH 2000 gct-alias verdict
+// from BROKEN(1) to safe.
+func TestArenaPinned(t *testing.T) {
+	rep, err := Arena(Options{Scale: 4096, Workloads: []string{"leela"}, Seed: SeedOf(1)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := FailedCells(rep.Cells); len(failed) > 0 {
+		t.Fatalf("arena lost %d cells, first: %+v", len(failed), failed[0])
+	}
+	pinned, err := json.Marshal(struct {
+		Norm     map[string]map[string]float64
+		Security []ArenaSecurityRow
+		Slowdown map[string]map[string]float64
+	}{rep.Perf.Norm, rep.Security, rep.Slowdown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "d9d076b227cfac157a4e1275b61d356f3d3bebe247c52932c5f48a28cb9960c7"
+	if got := fmt.Sprintf("%x", sha256.Sum256(pinned)); got != want {
+		t.Fatalf("arena digest %s, want %s:\n%s", got, want, rep.Format())
 	}
 }

@@ -107,7 +107,7 @@ func ExtensionDDR5(o Options) (*DDR5Report, error) {
 	return rep, nil
 }
 
-// ExtensionRowSwap compares the two mitigation policies' activation
+// RowSwapReport compares the two mitigation policies' activation
 // overheads functionally: victim refresh performs 4 activations per
 // mitigation, row swap 2 migrations (but durable relocation). The
 // full-system policies share the tracker, so the comparison runs at
@@ -140,7 +140,7 @@ func ExtensionRowSwap(o Options) (*RowSwapReport, error) {
 	mem := dram.Baseline()
 
 	mk := func() (rh.Tracker, error) {
-		return ArenaFuncTracker("hydra", track.BaselineGeometry(), o.TRH, o.seed())
+		return sim.NewTracker(sim.TrackHydra, track.BaselineGeometry(), o.TRH, o.seed(), rh.NullSink{})
 	}
 
 	t1, err := mk()

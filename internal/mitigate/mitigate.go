@@ -48,7 +48,8 @@ type Refresher struct {
 
 	// MetaOf classifies rows that belong to the tracker's own DRAM
 	// metadata (e.g. Hydra's RCT): it returns the metadata row index
-	// and true for such rows. Nil means no metadata rows.
+	// and true for such rows, which go to the tracker's rh.MetaGuard
+	// instead of Activate. Nil means no metadata rows.
 	MetaOf func(rh.Row) (int, bool)
 
 	// Observer, when non-nil, sees every activation (demand and
@@ -107,13 +108,16 @@ func (r *Refresher) Activate(row rh.Row) []rh.Row {
 		if r.Observer != nil {
 			r.Observer.Activated(cur)
 		}
-		var mitigate bool
+		idx, meta := 0, false
 		if r.MetaOf != nil {
-			if idx, ok := r.MetaOf(cur); ok {
-				mitigate = r.tracker.ActivateMeta(idx)
-			} else {
-				mitigate = r.tracker.Activate(cur)
-			}
+			idx, meta = r.MetaOf(cur)
+		}
+		var mitigate bool
+		if meta {
+			// Only a guarded tracker (Hydra's RIT-ACT) mitigates its
+			// own metadata rows.
+			guard, ok := r.tracker.(rh.MetaGuard)
+			mitigate = ok && guard.ActivateMeta(idx)
 		} else {
 			mitigate = r.tracker.Activate(cur)
 		}

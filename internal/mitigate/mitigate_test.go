@@ -181,12 +181,10 @@ func TestResetWindowForwarded(t *testing.T) {
 // rather than loop forever.
 type brokenTracker struct{}
 
-func (brokenTracker) Name() string          { return "broken" }
-func (brokenTracker) Activate(rh.Row) bool  { return true }
-func (brokenTracker) ActivateMeta(int) bool { return false }
-func (brokenTracker) ResetWindow()          {}
-func (brokenTracker) SRAMBytes() int        { return 1 }
-func (brokenTracker) MetaRows() int         { return 0 }
+func (brokenTracker) Name() string         { return "broken" }
+func (brokenTracker) Activate(rh.Row) bool { return true }
+func (brokenTracker) ResetWindow()         {}
+func (brokenTracker) SRAMBytes() int       { return 1 }
 
 func TestCascadeCapPanics(t *testing.T) {
 	defer func() {

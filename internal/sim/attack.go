@@ -47,7 +47,9 @@ func (a *attackStream) Next() (workload.Request, bool) {
 	return workload.Request{Gap: 0, Line: a.mem.Encode(loc)}, true
 }
 
-// validateAttack checks the spec against the geometry.
+// installAttack checks the spec against the geometry and replaces core
+// 0 with an attacker replaying it; a nil spec leaves the cores as they
+// are.
 func (s *System) installAttack(spec *AttackSpec) error {
 	if spec == nil {
 		return nil

@@ -15,6 +15,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -46,6 +47,85 @@ const (
 	TrackMINT       TrackerKind = "mint"
 	TrackDAPPER     TrackerKind = "dapper"
 )
+
+// Functional-only tracker kinds: NewTracker builds them for the attack
+// suite and the tracker arena's security matrix, and New refuses them.
+const (
+	TrackTWiCE  TrackerKind = "twice"
+	TrackCAT    TrackerKind = "cat"
+	TrackProHIT TrackerKind = "prohit"
+	TrackMRLoC  TrackerKind = "mrloc"
+)
+
+// TimingKinds lists the tracking schemes New runs, Hydra's two
+// ablations aside, in the order the tracker arena reports them.
+func TimingKinds() []TrackerKind {
+	return []TrackerKind{
+		TrackGraphene, TrackCRA, TrackOCPR, TrackPARA,
+		TrackHydra, TrackSTART, TrackMINT, TrackDAPPER,
+	}
+}
+
+// FuncKinds lists every scheme NewTracker builds. The order is part of
+// the arena's results: its security matrix seeds each cell from the
+// scheme's index.
+func FuncKinds() []TrackerKind {
+	return []TrackerKind{
+		TrackHydra, TrackGraphene, TrackCRA, TrackOCPR, TrackPARA, TrackTWiCE,
+		TrackCAT, TrackProHIT, TrackMRLoC, TrackSTART, TrackMINT, TrackDAPPER,
+	}
+}
+
+// NewTracker builds the scheme kind at its functional default for a
+// memory of geometry geom at threshold trh: Hydra sized by
+// core.ForThreshold, CRA with a 64 KB metadata cache, START with a
+// guarantee-sized pool, MINT at the paper's interval and PARA at a 1e-9
+// failure probability. seed seeds Hydra's row cipher and the
+// probabilistic schemes; sink receives Hydra's and CRA's metadata
+// traffic. New builds every other full-system tracker through it, and
+// scales Hydra's and CRA's structures itself.
+func NewTracker(kind TrackerKind, geom track.Geometry, trh int, seed uint64, sink rh.MemSink) (rh.Tracker, error) {
+	var (
+		t   rh.Tracker
+		err error
+	)
+	switch kind {
+	case TrackHydra:
+		cfg := core.ForThreshold(trh)
+		cfg.Rows = geom.Rows
+		cfg.Seed = seed
+		t, err = core.New(cfg, sink)
+	case TrackGraphene:
+		t, err = track.NewGraphene(geom, trh)
+	case TrackCRA:
+		t, err = track.NewCRA(geom, trh, 64*1024, sink)
+	case TrackOCPR:
+		t, err = track.NewOCPR(geom, trh)
+	case TrackPARA:
+		t, err = track.NewPARA(trh, 1e-9, seed)
+	case TrackTWiCE:
+		t, err = track.NewTWiCE(geom, trh, 0)
+	case TrackCAT:
+		t, err = track.NewCAT(geom, trh, 0)
+	case TrackProHIT:
+		t, err = track.NewProHIT(geom, 1.0/16, seed)
+	case TrackMRLoC:
+		t, err = track.NewMRLoC(geom, seed)
+	case TrackSTART:
+		t, err = track.NewSTART(geom, trh, 0)
+	case TrackMINT:
+		t, err = track.NewMINT(geom, trh, 0, seed)
+	case TrackDAPPER:
+		t, err = track.NewDAPPER(geom, trh)
+	default:
+		err = fmt.Errorf("sim: no tracker model for kind %q", kind)
+	}
+	if err != nil {
+		// t may hold a nil *T, which is a non-nil rh.Tracker.
+		return nil, err
+	}
+	return t, nil
+}
 
 // Config describes one full-system run.
 type Config struct {
@@ -216,16 +296,39 @@ type System struct {
 	chaosRNG   uint64
 	chaosActs  int64
 	chaosStats ChaosStats
-	hydra      *core.Tracker // cached Hydra tracker for RCT corruption
+	hydra      *core.Tracker // the tracker when it is Hydra: RIT-ACT guard and RCT corruption
+}
+
+// Validate reports the first setting New refuses: a non-positive core
+// count, an invalid DRAM geometry, a tracker kind New does not run, an
+// unknown mitigation policy or an invalid chaos scenario.
+func (c Config) Validate() error {
+	if c.Cores <= 0 {
+		return fmt.Errorf("sim: Cores must be positive")
+	}
+	if err := c.Mem.Validate(); err != nil {
+		return err
+	}
+	switch k := c.Tracker; {
+	case k == TrackNone, k == TrackHydraNoGCT, k == TrackHydraNoRCC, slices.Contains(TimingKinds(), k):
+	case slices.Contains(FuncKinds(), k):
+		return fmt.Errorf("sim: tracker kind %q has no full-system model", k)
+	default:
+		return fmt.Errorf("sim: unknown tracker kind %q", k)
+	}
+	if err := validPolicy(c.Mitigation); err != nil {
+		return err
+	}
+	if c.Chaos != nil {
+		return c.Chaos.Validate()
+	}
+	return nil
 }
 
 // New assembles a system. The tracker structures are scaled per
 // cfg.Scale unless KeepStructSize is set.
 func New(cfg Config) (*System, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("sim: Cores must be positive")
-	}
-	if err := cfg.Mem.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Scale < 1 {
@@ -234,14 +337,6 @@ func New(cfg Config) (*System, error) {
 	window := cfg.WindowCycles
 	if window <= 0 {
 		window = memsim.WindowCycles
-	}
-	if err := validPolicy(cfg.Mitigation); err != nil {
-		return nil, err
-	}
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	s := &System{
 		cfg:        cfg,
@@ -263,14 +358,17 @@ func New(cfg Config) (*System, error) {
 	if err := s.makeTracker(&cfg); err != nil {
 		return nil, err
 	}
-	if h, ok := s.tracker.(*core.Tracker); ok {
-		s.hydra = h
+	// Hydra's RCT and CRA's counters are the trackers with DRAM rows to
+	// reserve.
+	switch t := s.tracker.(type) {
+	case *core.Tracker:
+		s.hydra = t
 		if cfg.Trace != nil {
-			h.AttachTracer(cfg.Trace, func() int64 { return s.now })
+			t.AttachTracer(cfg.Trace, func() int64 { return s.now })
 		}
-	}
-	if s.tracker != nil && s.tracker.MetaRows() > 0 {
-		s.region = dram.NewReservedRegion(cfg.Mem, s.tracker.MetaRows())
+		s.region = dram.NewReservedRegion(cfg.Mem, t.MetaRows())
+	case *track.CRA:
+		s.region = dram.NewReservedRegion(cfg.Mem, t.MetaRows())
 	}
 
 	maxDemand := cfg.Mem.RowsPerBank - 1
@@ -326,6 +424,11 @@ func scaleEntries(n int, f float64) int {
 	return v
 }
 
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
+
+// makeTracker builds cfg.Tracker for the system: Hydra and CRA with
+// their structures scaled, every other scheme through NewTracker.
 func (s *System) makeTracker(cfg *Config) error {
 	geom := track.Geometry{
 		Rows:        cfg.Mem.TotalRows(),
@@ -334,16 +437,18 @@ func (s *System) makeTracker(cfg *Config) error {
 		ACTMax:      1360000,
 	}
 	f := s.structScale()
+	var (
+		t   rh.Tracker
+		err error
+	)
 	switch cfg.Tracker {
 	case TrackNone:
-		s.tracker = nil
 		return nil
 	case TrackHydra, TrackHydraNoGCT, TrackHydraNoRCC:
 		hc := core.ForThreshold(cfg.TRH)
 		hc.Rows = cfg.Mem.TotalRows()
 		hc.RowBytes = cfg.Mem.RowBytes
 		hc.GCTEntries = scaleEntries(hc.GCTEntries, f)
-		hc.RCCEntries = scaleEntries(hc.RCCEntries, f)
 		if cfg.HydraGCTEntries > 0 {
 			hc.GCTEntries = scaleEntries(cfg.HydraGCTEntries, f)
 		}
@@ -351,79 +456,29 @@ func (s *System) makeTracker(cfg *Config) error {
 			hc.TG = cfg.HydraTG
 		}
 		hc.RCCWays = 16
-		for hc.RCCEntries%hc.RCCWays != 0 {
-			hc.RCCEntries++
-		}
+		hc.RCCEntries = roundUp(scaleEntries(hc.RCCEntries, f), hc.RCCWays)
 		hc.NoGCT = cfg.Tracker == TrackHydraNoGCT
 		hc.NoRCC = cfg.Tracker == TrackHydraNoRCC
 		hc.Randomize = cfg.HydraRandomize
 		hc.Seed = rngstream.Derive(cfg.Seed, "tracker/hydra-cipher")
-		t, err := core.New(hc, metaSink{s})
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
-	case TrackGraphene:
-		t, err := track.NewGraphene(geom, cfg.TRH)
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
+		t, err = core.New(hc, metaSink{s})
 	case TrackCRA:
 		bytes := cfg.CRACacheBytes
 		if bytes <= 0 {
 			bytes = 64 * 1024
 		}
-		bytes = int(float64(bytes) / f)
-		if bytes < 1024 {
-			bytes = 1024
-		}
-		t, err := track.NewCRA(geom, cfg.TRH, bytes, metaSink{s})
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
-	case TrackOCPR:
-		t, err := track.NewOCPR(geom, cfg.TRH)
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
-	case TrackPARA:
-		t, err := track.NewPARA(cfg.TRH, 1e-9, rngstream.Derive(cfg.Seed, "tracker/para"))
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
-	case TrackSTART:
-		t, err := track.NewSTART(geom, cfg.TRH, 0)
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
-	case TrackMINT:
-		t, err := track.NewMINT(geom, cfg.TRH, 0, rngstream.Derive(cfg.Seed, "tracker/mint"))
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
-	case TrackDAPPER:
-		t, err := track.NewDAPPER(geom, cfg.TRH)
-		if err != nil {
-			return err
-		}
-		s.tracker = t
-		return nil
+		// Whole sets of NewCRA's 16 ways of 64 B lines, at least one.
+		bytes = roundUp(max(int(float64(bytes)/f), 1), 16*dram.LineBytes)
+		t, err = track.NewCRA(geom, cfg.TRH, bytes, metaSink{s})
 	default:
-		return fmt.Errorf("sim: unknown tracker kind %q", cfg.Tracker)
+		seed := rngstream.Derive(cfg.Seed, "tracker/"+string(cfg.Tracker))
+		t, err = NewTracker(cfg.Tracker, geom, cfg.TRH, seed, metaSink{s})
 	}
+	if err != nil {
+		return err
+	}
+	s.tracker = t
+	return nil
 }
 
 // metaSink converts tracker metadata traffic into memory requests at
@@ -462,14 +517,15 @@ func (s *System) onACT(row uint32, kind memsim.Kind, at int64) {
 		return
 	}
 	s.now = at
-	var mitig, meta bool
+	idx, meta := 0, false
 	if s.region != nil {
-		if idx, ok := s.region.MetaIndex(row); ok {
-			mitig = s.tracker.ActivateMeta(idx)
-			meta = true
-		} else {
-			mitig = s.tracker.Activate(rh.Row(row))
-		}
+		idx, meta = s.region.MetaIndex(row)
+	}
+	var mitig bool
+	if meta {
+		// Hydra's RIT-ACT guards its RCT rows; CRA's counter rows are
+		// unguarded, so activating one mitigates nothing.
+		mitig = s.hydra != nil && s.hydra.ActivateMeta(idx)
 	} else {
 		mitig = s.tracker.Activate(rh.Row(row))
 	}

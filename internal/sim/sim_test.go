@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -195,10 +196,44 @@ func TestCRAMetadataCacheSizeMatters(t *testing.T) {
 	}
 }
 
+// TestCRACacheRoundsToWholeSets: a scale that does not split CRA's
+// cache into whole sets of NewCRA's 16 lines rounds it up to the next
+// whole set instead of failing the cell, and a power-of-two scale keeps
+// the exact quotient.
+func TestCRACacheRoundsToWholeSets(t *testing.T) {
+	for _, tc := range []struct {
+		scale     float64
+		kb, bytes int
+	}{
+		{10, 64, 7168},  // 6553 B before rounding
+		{3, 64, 22528},  // 21845 B
+		{16, 100, 7168}, // 6400 B
+		{16, 64, 4096},
+		{64, 64, 1024},
+		{4096, 64, 1024}, // 16 B, raised to one set
+	} {
+		cfg := testConfig(hotProfile(), TrackCRA)
+		cfg.Scale, cfg.CRACacheBytes = tc.scale, tc.kb*1024
+		s, err := New(cfg)
+		if err != nil {
+			t.Errorf("scale %v, %d KB: %v", tc.scale, tc.kb, err)
+			continue
+		}
+		if got := s.tracker.SRAMBytes(); got != tc.bytes {
+			t.Errorf("scale %v, %d KB: cache %d B, want %d", tc.scale, tc.kb, got, tc.bytes)
+		}
+	}
+}
+
+// TestUnknownTrackerRejected: New refuses an unknown kind and, of the
+// kinds NewTracker builds, the functional-only ones; it builds the
+// timing kinds.
 func TestUnknownTrackerRejected(t *testing.T) {
-	cfg := testConfig(hotProfile(), TrackerKind("bogus"))
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("bogus tracker accepted")
+	for _, kind := range append(FuncKinds(), "bogus") {
+		_, err := New(testConfig(hotProfile(), kind))
+		if timed := slices.Contains(TimingKinds(), kind); timed != (err == nil) {
+			t.Errorf("%s: New returned %v, want an error: %v", kind, err, !timed)
+		}
 	}
 }
 

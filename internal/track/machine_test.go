@@ -26,6 +26,7 @@ import (
 	"repro/internal/mitigate"
 	"repro/internal/proptest"
 	"repro/internal/rh"
+	"repro/internal/sim"
 	"repro/internal/testutil"
 	"repro/internal/track"
 )
@@ -93,7 +94,7 @@ type machineRun struct {
 
 func newMachineRun(tb testing.TB, scheme string, seed uint64) *machineRun {
 	geom := machineGeom()
-	tr, err := exp.ArenaFuncTracker(scheme, geom, machineTRH, seed)
+	tr, err := exp.ArenaFuncTracker(sim.TrackerKind(scheme), geom, machineTRH, seed)
 	if err != nil {
 		tb.Fatalf("construct %s: %v", scheme, err)
 	}
@@ -218,8 +219,8 @@ func pressureProp(tb testing.TB, scheme string) func(*proptest.T) {
 
 // TestTrackerMachine runs the state machine over all 13 arena schemes.
 func TestTrackerMachine(t *testing.T) {
-	for _, scheme := range exp.ArenaFuncSchemes() {
-		scheme := scheme
+	for _, kind := range exp.ArenaFuncSchemes() {
+		scheme := string(kind)
 		t.Run(scheme, func(t *testing.T) {
 			switch classify(scheme) {
 			case classDeterministic:

@@ -102,12 +102,6 @@ func (m *MINT) Activate(row rh.Row) bool {
 	return hit
 }
 
-// ActivateMeta implements rh.Tracker; MINT has no DRAM metadata.
-func (m *MINT) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (m *MINT) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker. MINT carries no per-window
 // state; the interval machinery keeps running across windows.
 func (m *MINT) ResetWindow() {}

@@ -83,12 +83,6 @@ func (m *MRLoC) Activate(row rh.Row) bool {
 	return false
 }
 
-// ActivateMeta implements rh.Tracker; MRLoC has no DRAM metadata.
-func (m *MRLoC) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (m *MRLoC) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (m *MRLoC) ResetWindow() {
 	for i := range m.banks {

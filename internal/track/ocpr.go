@@ -60,12 +60,6 @@ func (o *OCPR) Activate(row rh.Row) bool {
 	return false
 }
 
-// ActivateMeta implements rh.Tracker; OCPR has no DRAM metadata.
-func (o *OCPR) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (o *OCPR) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (o *OCPR) ResetWindow() {
 	for i := range o.counts {

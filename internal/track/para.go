@@ -62,12 +62,6 @@ func (p *PARA) Activate(rh.Row) bool {
 	return false
 }
 
-// ActivateMeta implements rh.Tracker; PARA has no DRAM metadata.
-func (p *PARA) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (p *PARA) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker; PARA is stateless.
 func (p *PARA) ResetWindow() {}
 

@@ -98,7 +98,7 @@ func TestProbabilisticTrackersInterface(t *testing.T) {
 		testutil.Must(NewProHIT(testGeom(), 0.25, 1)),
 		testutil.Must(NewMRLoC(testGeom(), 1)),
 	} {
-		if tr.SRAMBytes() <= 0 || tr.MetaRows() != 0 || tr.ActivateMeta(0) {
+		if tr.SRAMBytes() <= 0 {
 			t.Errorf("%s: interface contract broken", tr.Name())
 		}
 		tr.Activate(rh.Row(0))

@@ -114,12 +114,6 @@ func (p *ProHIT) Activate(row rh.Row) bool {
 	return false
 }
 
-// ActivateMeta implements rh.Tracker; ProHIT has no DRAM metadata.
-func (p *ProHIT) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (p *ProHIT) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (p *ProHIT) ResetWindow() {
 	for i := range p.banks {

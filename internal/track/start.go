@@ -117,12 +117,6 @@ func (s *START) Activate(row rh.Row) bool {
 	return mitigate
 }
 
-// ActivateMeta implements rh.Tracker; START has no DRAM metadata.
-func (s *START) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (s *START) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (s *START) ResetWindow() {
 	s.pool.reset()

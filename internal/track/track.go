@@ -8,15 +8,16 @@
 //   - OCPR: one counter per row in SRAM (the idealized upper bound of
 //     Table 1);
 //   - PARA: stateless probabilistic mitigation;
-//   - TWiCE, CAT, D-CBF: functional models used for storage analysis
-//     and attack studies;
+//   - TWiCE, CAT: functional models used for storage analysis and
+//     attack studies;
 //   - ProHIT, MRLoC: probabilistic in-queue trackers the attack suite
 //     defeats, reproducing the paper's judgment;
 //   - START, MINT, DAPPER: post-Hydra successors (arXiv 2308.14889,
 //     2407.16038, 2501.18857) for the tracker arena.
 //
-// All trackers implement rh.Tracker. Like Hydra, they are operated at
-// half the target row-hammer threshold to absorb the periodic-reset
+// All trackers implement rh.Tracker, and sim.NewTracker builds each at
+// its functional default. Like Hydra, they are operated at half the
+// target row-hammer threshold to absorb the periodic-reset
 // vulnerability (Section 4.6 / footnote 3). docs/TRACKERS.md is the
 // user-facing catalog of every scheme in this package.
 package track

@@ -141,13 +141,11 @@ func TestOCPRStorageMatchesTable1(t *testing.T) {
 	}
 }
 
-// TestOCPRThresholdFitsCounters pins the 16-bit counter width of OCPR,
-// CRA and D-CBF: the largest threshold that fits acts at exactly T_RH/2
-// activations, and one past it is refused rather than left to wrap
-// (or, in D-CBF's saturating filters, never be reached).
+// TestOCPRThresholdFitsCounters pins the 16-bit counter width of OCPR
+// and CRA: the largest threshold that fits acts at exactly T_RH/2
+// activations, and one past it is refused rather than left to wrap.
 func TestOCPRThresholdFitsCounters(t *testing.T) {
 	geom := testGeom()
-	geom.ACTMax = 1 << 18 // D-CBF swaps filters every ACTMax/2 activations of a bank
 	const fits, past = 2*math.MaxUint16 + 1, 2 * (math.MaxUint16 + 1)
 	for _, tc := range []struct {
 		name  string
@@ -155,7 +153,6 @@ func TestOCPRThresholdFitsCounters(t *testing.T) {
 	}{
 		{"ocpr", func(trh int) (rh.Tracker, error) { return NewOCPR(geom, trh) }},
 		{"cra", func(trh int) (rh.Tracker, error) { return NewCRA(geom, trh, 64*1024, rh.NullSink{}) }},
-		{"dcbf", func(trh int) (rh.Tracker, error) { return NewDCBF(geom, trh, 4096, 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := tc.build(past); err == nil {
@@ -388,59 +385,6 @@ func TestCATPoolExhaustionIsUnsafe(t *testing.T) {
 	}
 }
 
-func TestDCBFNoFalseNegatives(t *testing.T) {
-	d := testutil.Must(NewDCBF(testGeom(), testTRH, 4096, 11))
-	row := rh.Row(4)
-	throttled := false
-	for i := 1; i <= 50; i++ {
-		if d.Activate(row) {
-			throttled = true
-			if i < 1 {
-				t.Fatalf("throttle before any activation")
-			}
-		}
-	}
-	if !throttled {
-		t.Fatal("hammered row never blacklisted at threshold")
-	}
-	// D-CBF cannot un-blacklist until a filter reset: every further
-	// activation throttles.
-	if !d.Activate(row) {
-		t.Fatal("blacklisted row no longer throttled")
-	}
-	if d.Estimate(row) < 50 {
-		t.Fatalf("estimate %d < true count 51", d.Estimate(row))
-	}
-}
-
-func TestDCBFEstimateNeverUndercounts(t *testing.T) {
-	geom := testGeom()
-	geom.ACTMax = 1 << 30 // avoid filter swaps in this test
-	d := testutil.Must(NewDCBF(geom, testTRH, 1024, 12))
-	rng := rand.New(rand.NewSource(5))
-	trueCount := make(map[rh.Row]int)
-	for i := 0; i < 3000; i++ {
-		row := rh.Row(rng.Intn(256))
-		trueCount[row]++
-		d.Activate(row)
-		if est := d.Estimate(row); est < trueCount[row] {
-			t.Fatalf("estimate %d < true %d", est, trueCount[row])
-		}
-	}
-}
-
-func TestDCBFResetClearsBlacklist(t *testing.T) {
-	d := testutil.Must(NewDCBF(testGeom(), testTRH, 4096, 13))
-	row := rh.Row(4)
-	for i := 0; i < 100; i++ {
-		d.Activate(row)
-	}
-	d.ResetWindow()
-	if d.Activate(row) {
-		t.Fatal("row still blacklisted after reset")
-	}
-}
-
 // TestAllTrackersImplementInterface pins the interface contract and the
 // trivial methods in one place.
 func TestAllTrackersImplementInterface(t *testing.T) {
@@ -452,7 +396,6 @@ func TestAllTrackersImplementInterface(t *testing.T) {
 		testutil.Must(NewCRA(geom, testTRH, 4096, rh.NullSink{})),
 		testutil.Must(NewTWiCE(geom, testTRH, 0)),
 		testutil.Must(NewCAT(geom, testTRH, 0)),
-		testutil.Must(NewDCBF(geom, testTRH, 0, 1)),
 	}
 	names := map[string]bool{}
 	for _, tr := range trackers {
@@ -463,11 +406,8 @@ func TestAllTrackersImplementInterface(t *testing.T) {
 		if tr.SRAMBytes() <= 0 {
 			t.Errorf("%s: SRAMBytes = %d", tr.Name(), tr.SRAMBytes())
 		}
-		if tr.Name() != "cra" && tr.MetaRows() != 0 {
-			t.Errorf("%s: unexpected MetaRows %d", tr.Name(), tr.MetaRows())
-		}
-		if tr.ActivateMeta(0) {
-			t.Errorf("%s: ActivateMeta returned true", tr.Name())
+		if _, ok := tr.(rh.MetaGuard); ok {
+			t.Errorf("%s guards its metadata rows; only Hydra's RIT-ACT does", tr.Name())
 		}
 		tr.Activate(rh.Row(0))
 		tr.ResetWindow()

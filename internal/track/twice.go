@@ -127,12 +127,6 @@ func (t *TWiCE) prune(b *twiceBank) {
 	}
 }
 
-// ActivateMeta implements rh.Tracker; TWiCE has no DRAM metadata.
-func (t *TWiCE) ActivateMeta(int) bool { return false }
-
-// MetaRows implements rh.Tracker.
-func (t *TWiCE) MetaRows() int { return 0 }
-
 // ResetWindow implements rh.Tracker.
 func (t *TWiCE) ResetWindow() {
 	for i := range t.banks {
